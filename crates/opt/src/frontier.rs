@@ -29,16 +29,46 @@
 //!   beyond it (deep back-propagation graphs like the paper's 57-vertex
 //!   FFNN legitimately exceed exact tractability — the test-suite
 //!   checks beam plans against brute force on small DAGs).
+//!
+//! The Equation (2) cross product visits up to millions of joint
+//! entries per graph, so it allocates nothing per entry:
+//!
+//! * **Packed keys** — each run interns its physical formats to small
+//!   integer ids, and a joint key is one 16-bit lane per class member.
+//!   Keys of one table live as fixed-stride rows of a flat arena,
+//!   deduplicated through an open-addressed index under a small
+//!   multiplicative hash with a finalizer. Any class size takes the
+//!   same path. Class tables are parallel `keys` / `(cost, trace)`
+//!   vectors, only ever iterated; arrival maps are indexed by the
+//!   packed producer-format key.
+//! * **Lazy traces** — while the cross product runs, a joint slot
+//!   holds its cost, the arrival entry that produced it and the linear
+//!   index of the merged-table combination. Only the entries that
+//!   survive the beam cut get a trace step, with parents decoded from
+//!   that index and transformations looked up again.
+//! * **Deterministic ties** — tables keep their entries in discovery
+//!   order, the cross product runs over them in that order, and a
+//!   slot only moves to a strictly cheaper candidate. The beam keeps
+//!   the `beam` smallest entries under the total order
+//!   `(cost, packed key)`, and the final minimum of a table is its
+//!   first cheapest entry. Planning one graph twice therefore gives
+//!   the same annotation. Costs are summed in the same order as in
+//!   Equation (2): merged-table costs in table order, then the arrival
+//!   cost.
 
 use crate::common::{transform_cost, vertex_options, OptContext, OptError, Optimized};
 use matopt_core::{
-    Annotation, ComputeGraph, ImplId, NodeId, NodeKind, PhysFormat, Transform, VertexChoice,
+    Annotation, ComputeGraph, ImplId, MatrixType, NodeId, NodeKind, PhysFormat, Transform,
+    VertexChoice,
 };
 use matopt_obs::Subsystem;
 use std::collections::HashMap;
 
 /// Index into the trace arena.
 type TraceId = usize;
+
+/// One lane of a packed joint key: a run-local format id.
+type Lane = u16;
 
 /// How an entry was produced, for plan reconstruction.
 #[derive(Debug, Clone)]
@@ -59,23 +89,209 @@ enum TraceStep {
 /// A joint cost table for one equivalence class along the frontier.
 #[derive(Debug, Clone)]
 struct ClassTable {
-    /// The class members; key vectors align with this ordering.
+    /// The class members; key rows align with this ordering.
     verts: Vec<NodeId>,
-    /// `F(V, p)` with back-traces.
-    entries: HashMap<Vec<PhysFormat>, (f64, TraceId)>,
+    /// Packed keys, one row of `verts.len()` lanes per entry.
+    keys: Vec<Lane>,
+    /// `F(V, p)` with back-traces, aligned with the key rows.
+    entries: Vec<(f64, TraceId)>,
 }
 
-/// The cheapest way to produce each output format of `v` given a fixed
-/// vector of producer formats.
-type ArrivalMap = HashMap<PhysFormat, (f64, usize, Vec<Transform>)>;
+impl ClassTable {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
 
-/// Memoized per-edge transformation lookups keyed by
-/// `(input index, from, to)`.
-type TransformCache = HashMap<(usize, PhysFormat, PhysFormat), Option<(Transform, f64)>>;
+    /// The format lane of class member `pos` in entry `entry`.
+    fn lane(&self, entry: usize, pos: usize) -> Lane {
+        self.keys[entry * self.verts.len() + pos]
+    }
+}
 
-/// A borrowed view of a class table's entries, used for the cross
-/// product over merged tables.
-type EntryRef<'a> = (&'a Vec<PhysFormat>, &'a (f64, TraceId));
+/// The physical formats seen in one run, interned to lanes.
+#[derive(Default)]
+struct Formats {
+    list: Vec<PhysFormat>,
+    ids: HashMap<PhysFormat, Lane>,
+}
+
+impl Formats {
+    fn id(&mut self, f: PhysFormat) -> Lane {
+        if let Some(id) = self.ids.get(&f) {
+            return *id;
+        }
+        let id = Lane::try_from(self.list.len())
+            .expect("a plan sees fewer than 65,536 distinct physical formats");
+        self.list.push(f);
+        self.ids.insert(f, id);
+        id
+    }
+
+    fn get(&self, id: Lane) -> PhysFormat {
+        self.list[usize::from(id)]
+    }
+}
+
+const HASH_SEED: u64 = 0x243F_6A88_85A3_08D3;
+
+/// Folds one lane into a running key hash.
+fn hash_step(h: u64, lane: Lane) -> u64 {
+    (h.rotate_left(5) ^ u64::from(lane)).wrapping_mul(0x517C_C1B7_2722_0A95)
+}
+
+/// The 64-bit MurmurHash3 finalizer: spreads every input bit over the
+/// high half, which picks index slots and tags.
+fn hash_finish(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
+}
+
+fn hash_lanes(lanes: &[Lane]) -> u64 {
+    hash_finish(lanes.iter().fold(HASH_SEED, |h, l| hash_step(h, *l)))
+}
+
+/// A set of packed keys of one fixed stride: rows in a flat arena,
+/// numbered in insertion order, found through an open-addressed index
+/// with linear probing.
+struct KeySet {
+    stride: usize,
+    lanes: Vec<Lane>,
+    /// `tag << 32 | id` per occupied slot, [`KeySet::EMPTY`] otherwise;
+    /// the tag is the high half of the key's hash, and its low bits
+    /// pick the home slot. The length is a power of two.
+    index: Vec<u64>,
+}
+
+impl KeySet {
+    const EMPTY: u64 = u64::MAX;
+
+    fn new(stride: usize) -> KeySet {
+        KeySet {
+            stride,
+            lanes: Vec::new(),
+            index: vec![Self::EMPTY; 16],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.lanes.len() / self.stride
+    }
+
+    fn key(&self, id: usize) -> &[Lane] {
+        &self.lanes[id * self.stride..(id + 1) * self.stride]
+    }
+
+    /// The id of `key`, whose hash is `hash`, inserting it when new.
+    /// The flag is true when the key was inserted.
+    fn insert(&mut self, key: &[Lane], hash: u64) -> (usize, bool) {
+        debug_assert_eq!(key.len(), self.stride);
+        let tag = hash >> 32;
+        let mask = self.index.len() - 1;
+        let mut i = tag as usize & mask;
+        loop {
+            let slot = self.index[i];
+            if slot == Self::EMPTY {
+                break;
+            }
+            let id = (slot & 0xFFFF_FFFF) as usize;
+            if slot >> 32 == tag && self.key(id) == key {
+                return (id, false);
+            }
+            i = (i + 1) & mask;
+        }
+        let id = self.len();
+        // `u32::MAX` stays free so no occupied slot reads as EMPTY.
+        let id32 = u32::try_from(id)
+            .ok()
+            .filter(|i| *i != u32::MAX)
+            .expect("a joint table holds fewer than 2^32 - 1 entries");
+        self.index[i] = tag << 32 | u64::from(id32);
+        self.lanes.extend_from_slice(key);
+        if 2 * self.len() > self.index.len() {
+            self.grow();
+        }
+        (id, true)
+    }
+
+    fn grow(&mut self) {
+        let mut index = vec![Self::EMPTY; self.index.len() * 2];
+        let mask = index.len() - 1;
+        for slot in self.index.iter().filter(|s| **s != Self::EMPTY) {
+            let mut i = (slot >> 32) as usize & mask;
+            while index[i] != Self::EMPTY {
+                i = (i + 1) & mask;
+            }
+            index[i] = *slot;
+        }
+        self.index = index;
+    }
+}
+
+/// The cheapest way to produce one output format of `v` from one
+/// producer-format vector.
+struct Arrival {
+    out: Lane,
+    /// Transformations plus implementation.
+    cost: f64,
+    /// Index into the vertex's options.
+    option: usize,
+    /// Id of the producer-format vector in the arrival key set.
+    producers: usize,
+}
+
+/// A new-table slot during the cross product: the best cost so far and
+/// what produced it, from which the trace is built if the slot
+/// survives the beam cut.
+#[derive(Clone, Copy)]
+struct JointSlot {
+    cost: f64,
+    /// Index into the vertex's arrivals.
+    arrival: usize,
+    /// Mixed-radix index of the merged-table entry combination, the
+    /// first merged table varying fastest.
+    combo: u64,
+}
+
+/// Memoized edge-transformation lookups of one vertex, a flat
+/// `(input, from, to)` table over the run's interned formats.
+struct TransformTable<'a> {
+    formats: usize,
+    in_types: &'a [MatrixType],
+    cells: Vec<Option<Option<(Transform, f64)>>>,
+}
+
+impl<'a> TransformTable<'a> {
+    fn new(in_types: &'a [MatrixType], formats: usize) -> Self {
+        TransformTable {
+            formats,
+            in_types,
+            cells: vec![None; in_types.len() * formats * formats],
+        }
+    }
+
+    fn get(
+        &mut self,
+        input: usize,
+        from: Lane,
+        to: Lane,
+        formats: &Formats,
+        octx: &OptContext<'_>,
+    ) -> Option<(Transform, f64)> {
+        let cell = (input * self.formats + usize::from(from)) * self.formats + usize::from(to);
+        *self.cells[cell].get_or_insert_with(|| {
+            transform_cost(
+                &self.in_types[input],
+                formats.get(from),
+                formats.get(to),
+                octx.plan,
+                octx.model,
+            )
+        })
+    }
+}
 
 /// Runs Algorithm 4 exactly (no beam cap).
 ///
@@ -138,6 +354,7 @@ fn frontier_dp_inner(
     let consumers = graph.consumers();
     let mut beam_truncated = 0usize;
     let mut visited = vec![false; graph.len()];
+    let mut formats = Formats::default();
     let mut traces: Vec<TraceStep> = Vec::new();
     // Live tables; `None` marks consumed (merged) slots.
     let mut front: Vec<Option<ClassTable>> = Vec::new();
@@ -150,13 +367,11 @@ fn frontier_dp_inner(
                 // Lines 2–7: sources are already optimized.
                 visited[id.index()] = true;
                 traces.push(TraceStep::Source);
-                let trace = traces.len() - 1;
-                let mut entries = HashMap::new();
-                entries.insert(vec![*format], (0.0, trace));
                 table_of[id.index()] = front.len();
                 front.push(Some(ClassTable {
                     verts: vec![id],
-                    entries,
+                    keys: vec![formats.id(*format)],
+                    entries: vec![(0.0, traces.len() - 1)],
                 }));
             }
             NodeKind::Compute { .. } => {
@@ -168,6 +383,7 @@ fn frontier_dp_inner(
                     &mut visited,
                     &mut front,
                     &mut table_of,
+                    &mut formats,
                     &mut traces,
                     beam,
                 )?;
@@ -180,10 +396,10 @@ fn frontier_dp_inner(
     let mut annotation = Annotation::empty(graph);
     let mut total = 0.0;
     for table in front.iter().flatten() {
-        let (_, (cost, trace)) = table
+        let (cost, trace) = table
             .entries
             .iter()
-            .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
             .expect("non-empty table");
         total += cost;
         let mut stack = vec![*trace];
@@ -232,6 +448,7 @@ fn process_vertex(
     visited: &mut [bool],
     front: &mut Vec<Option<ClassTable>>,
     table_of: &mut [usize],
+    formats: &mut Formats,
     traces: &mut Vec<TraceStep>,
     beam: usize,
 ) -> Result<usize, OptError> {
@@ -261,7 +478,7 @@ fn process_vertex(
                 ("merged_tables", merged.len().into()),
                 (
                     "merged_entries",
-                    merged.iter().map(|t| t.entries.len()).sum::<usize>().into(),
+                    merged.iter().map(ClassTable::len).sum::<usize>().into(),
                 ),
             ]
         });
@@ -280,116 +497,200 @@ fn process_vertex(
     // Line 13: vertices that keep a role on the frontier (some consumer
     // still unvisited). `v` itself is always retained; it is dropped by
     // a later merge once its consumers are optimized.
-    let mut retained: Vec<(usize, usize, NodeId)> = Vec::new();
+    let mut retained: Vec<(usize, usize)> = Vec::new();
+    let mut verts: Vec<NodeId> = Vec::new();
     for (ti, t) in merged.iter().enumerate() {
         for (pos, u) in t.verts.iter().enumerate() {
             if consumers[u.index()].iter().any(|c| !visited[c.index()]) {
-                retained.push((ti, pos, *u));
+                retained.push((ti, pos));
+                verts.push(*u);
             }
         }
     }
+    verts.push(v);
 
     // Enumerate the vertex's implementation options, offering every
     // format its producers can actually emit.
     let extra: Vec<Vec<PhysFormat>> = input_loc
         .iter()
         .map(|(ti, pos)| {
-            let mut fmts = Vec::new();
-            for key in merged[*ti].entries.keys() {
-                if !fmts.contains(&key[*pos]) {
-                    fmts.push(key[*pos]);
+            let t = &merged[*ti];
+            let mut lanes: Vec<Lane> = Vec::new();
+            for e in 0..t.len() {
+                let lane = t.lane(e, *pos);
+                if !lanes.contains(&lane) {
+                    lanes.push(lane);
                 }
             }
-            fmts
+            lanes.into_iter().map(|l| formats.get(l)).collect()
         })
         .collect();
     let options = vertex_options(graph, v, octx.catalog, octx.plan, octx.model, &extra);
     if options.is_empty() {
         return Err(OptError::NoFeasiblePlan(v));
     }
+    let n_in = node.inputs.len();
+    let pins: Vec<Lane> = options
+        .iter()
+        .flat_map(|o| o.pin.iter())
+        .map(|f| formats.id(*f))
+        .collect();
+    let outs: Vec<Lane> = options.iter().map(|o| formats.id(o.out_format)).collect();
+    let in_types: Vec<MatrixType> = node.inputs.iter().map(|u| graph.node(*u).mtype).collect();
+    let mut tcache = TransformTable::new(&in_types, formats.list.len());
 
-    // Memoized edge-transformation costs and per-producer-format-vector
-    // arrival maps.
-    let mut tcache: TransformCache = HashMap::new();
-    let mut arrival_cache: HashMap<Vec<PhysFormat>, ArrivalMap> = HashMap::new();
-    let in_types: Vec<matopt_core::MatrixType> =
-        node.inputs.iter().map(|u| graph.node(*u).mtype).collect();
+    // Arrival maps: per distinct producer-format vector, the cheapest
+    // choice per output format, as a range of `arrivals`.
+    let mut producer_keys = KeySet::new(n_in);
+    let mut arrival_ranges: Vec<(usize, usize)> = Vec::new();
+    let mut arrivals: Vec<Arrival> = Vec::new();
 
     // Equation (2): cross product of one entry per merged table, with
     // the (implementation × format) inner minimization factored into
     // the arrival map.
-    let mut new_entries: HashMap<Vec<PhysFormat>, (f64, TraceId)> = HashMap::new();
-    let entry_lists: Vec<Vec<EntryRef<'_>>> =
-        merged.iter().map(|t| t.entries.iter().collect()).collect();
-    let mut combo = vec![0usize; merged.len()];
+    let stride = verts.len();
+    let mut joint = KeySet::new(stride);
+    let mut slots: Vec<JointSlot> = Vec::new();
+    let mut pick = vec![0usize; merged.len()];
+    let mut combo = 0u64;
+    let mut pf: Vec<Lane> = vec![0; n_in];
+    let mut key: Vec<Lane> = vec![0; stride];
     'outer: loop {
-        let picked: Vec<&EntryRef<'_>> = combo
-            .iter()
-            .zip(entry_lists.iter())
-            .map(|(i, l)| &l[*i])
-            .collect();
-        let base_cost: f64 = picked.iter().map(|(_, (c, _))| *c).sum();
+        let base_cost: f64 = merged.iter().zip(&pick).map(|(t, e)| t.entries[*e].0).sum();
 
         // The formats this entry combination gives v's producers.
-        let pf: Vec<PhysFormat> = input_loc
-            .iter()
-            .map(|(ti, pos)| picked[*ti].0[*pos])
-            .collect();
-        let arrivals = arrival_cache
-            .entry(pf.clone())
-            .or_insert_with(|| build_arrival_map(&pf, &in_types, &options, octx, &mut tcache));
-        if !arrivals.is_empty() {
-            let retained_formats: Vec<PhysFormat> = retained
-                .iter()
-                .map(|(ti, pos, _)| picked[*ti].0[*pos])
-                .collect();
-            for (out, (arr_cost, opt_idx, transforms)) in arrivals.iter() {
-                let cost = base_cost + arr_cost;
-                let mut key = retained_formats.clone();
-                key.push(*out);
-                let slot = new_entries
-                    .entry(key)
-                    .or_insert((f64::INFINITY, usize::MAX));
-                if cost < slot.0 {
-                    traces.push(TraceStep::Compute {
-                        vertex: v,
-                        impl_id: options[*opt_idx].impl_id,
-                        transforms: transforms.clone(),
-                        output_format: *out,
-                        parents: picked.iter().map(|(_, (_, t))| *t).collect(),
+        for (lane, (ti, pos)) in pf.iter_mut().zip(&input_loc) {
+            *lane = merged[*ti].lane(pick[*ti], *pos);
+        }
+        let (producers, fresh) = producer_keys.insert(&pf, hash_lanes(&pf));
+        if fresh {
+            let start = arrivals.len();
+            for (oi, opt) in options.iter().enumerate() {
+                let pin = &pins[oi * n_in..(oi + 1) * n_in];
+                let tcost = pf
+                    .iter()
+                    .zip(pin)
+                    .enumerate()
+                    .try_fold(0.0, |sum, (j, (from, to))| {
+                        tcache
+                            .get(j, *from, *to, formats, octx)
+                            .map(|(_, c)| sum + c)
                     });
-                    *slot = (cost, traces.len() - 1);
+                let Some(tcost) = tcost else {
+                    continue;
+                };
+                let total = opt.impl_cost + tcost;
+                match arrivals[start..].iter_mut().find(|a| a.out == outs[oi]) {
+                    Some(a) if total < a.cost => {
+                        a.cost = total;
+                        a.option = oi;
+                    }
+                    Some(_) => {}
+                    None => arrivals.push(Arrival {
+                        out: outs[oi],
+                        cost: total,
+                        option: oi,
+                        producers,
+                    }),
+                }
+            }
+            arrival_ranges.push((start, arrivals.len()));
+        }
+
+        let (start, end) = arrival_ranges[producers];
+        if start < end {
+            for (lane, (ti, pos)) in key.iter_mut().zip(&retained) {
+                *lane = merged[*ti].lane(pick[*ti], *pos);
+            }
+            let prefix = key[..stride - 1]
+                .iter()
+                .fold(HASH_SEED, |h, l| hash_step(h, *l));
+            for (ai, arrival) in arrivals[start..end].iter().enumerate() {
+                let cost = base_cost + arrival.cost;
+                key[stride - 1] = arrival.out;
+                let (id, fresh) = joint.insert(&key, hash_finish(hash_step(prefix, arrival.out)));
+                let candidate = JointSlot {
+                    cost,
+                    arrival: start + ai,
+                    combo,
+                };
+                if fresh {
+                    slots.push(candidate);
+                } else if cost < slots[id].cost {
+                    slots[id] = candidate;
                 }
             }
         }
 
+        combo += 1;
         for d in 0..merged.len() {
-            combo[d] += 1;
-            if combo[d] < entry_lists[d].len() {
+            pick[d] += 1;
+            if pick[d] < merged[d].len() {
                 continue 'outer;
             }
-            combo[d] = 0;
+            pick[d] = 0;
         }
         break;
     }
 
-    if new_entries.is_empty() {
+    if slots.is_empty() {
         return Err(OptError::NoFeasiblePlan(v));
     }
-    // Beam: keep only the cheapest joint states when over the cap.
+    // Beam: keep only the cheapest joint states when over the cap, in
+    // their discovery order.
     let mut truncated = 0usize;
-    if new_entries.len() > beam {
-        truncated = new_entries.len() - beam;
-        let mut all: Vec<(Vec<PhysFormat>, (f64, TraceId))> = new_entries.into_iter().collect();
-        all.sort_by(|a, b| a.1 .0.total_cmp(&b.1 .0));
-        all.truncate(beam);
-        new_entries = all.into_iter().collect();
+    let mut keep: Vec<usize> = (0..slots.len()).collect();
+    if keep.len() > beam {
+        truncated = keep.len() - beam;
+        keep.select_nth_unstable_by(beam, |a, b| {
+            slots[*a]
+                .cost
+                .total_cmp(&slots[*b].cost)
+                .then_with(|| joint.key(*a).cmp(joint.key(*b)))
+        });
+        keep.truncate(beam);
+        keep.sort_unstable();
         octx.obs
             .counter(Subsystem::Optimizer, "beam_truncated", truncated as f64);
     }
 
-    let mut verts: Vec<NodeId> = retained.iter().map(|(_, _, u)| *u).collect();
-    verts.push(v);
+    // Trace steps for the survivors only.
+    let mut keys = Vec::with_capacity(keep.len() * stride);
+    let mut entries = Vec::with_capacity(keep.len());
+    for id in keep {
+        let slot = slots[id];
+        let arrival = &arrivals[slot.arrival];
+        let pf = producer_keys.key(arrival.producers);
+        let pin = &pins[arrival.option * n_in..(arrival.option + 1) * n_in];
+        let transforms = (0..n_in)
+            .map(|j| {
+                tcache
+                    .get(j, pf[j], pin[j], formats, octx)
+                    .expect("arrivals only use feasible transformations")
+                    .0
+            })
+            .collect();
+        let mut rest = slot.combo;
+        let parents = merged
+            .iter()
+            .map(|t| {
+                let n = t.len() as u64;
+                let e = (rest % n) as usize;
+                rest /= n;
+                t.entries[e].1
+            })
+            .collect();
+        traces.push(TraceStep::Compute {
+            vertex: v,
+            impl_id: options[arrival.option].impl_id,
+            transforms,
+            output_format: formats.get(arrival.out),
+            parents,
+        });
+        keys.extend_from_slice(joint.key(id));
+        entries.push((slot.cost, traces.len() - 1));
+    }
+
     // The post-step class size is the `c` of the §6.3 `|P|^c` bound;
     // together with the table size it explains where the optimizer's
     // time goes (cf. `trace::frontier_classes`).
@@ -397,7 +698,7 @@ fn process_vertex(
         vec![
             ("vertex", v.index().into()),
             ("class_size", verts.len().into()),
-            ("entries", new_entries.len().into()),
+            ("entries", entries.len().into()),
             ("truncated", truncated.into()),
         ]
     });
@@ -407,51 +708,42 @@ fn process_vertex(
     }
     front.push(Some(ClassTable {
         verts,
-        entries: new_entries,
+        keys,
+        entries,
     }));
     Ok(truncated)
 }
 
-/// For a fixed producer-format vector, the cheapest
-/// `(transformations + implementation)` choice per achievable output
-/// format.
-fn build_arrival_map(
-    pf: &[PhysFormat],
-    in_types: &[matopt_core::MatrixType],
-    options: &[crate::common::VertexOption],
-    octx: &OptContext<'_>,
-    tcache: &mut TransformCache,
-) -> ArrivalMap {
-    let mut map: ArrivalMap = HashMap::new();
-    for (oi, opt) in options.iter().enumerate() {
-        let mut tcost = 0.0;
-        let mut transforms = Vec::with_capacity(pf.len());
-        let mut ok = true;
-        for (j, (from, to)) in pf.iter().zip(opt.pin.iter()).enumerate() {
-            let cached = tcache
-                .entry((j, *from, *to))
-                .or_insert_with(|| transform_cost(&in_types[j], *from, *to, octx.plan, octx.model));
-            match cached {
-                Some((t, c)) => {
-                    tcost += *c;
-                    transforms.push(*t);
-                }
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn key_set_numbers_distinct_keys_across_growth() {
+        // A stride past 16 lanes and enough keys to grow the index
+        // several times; every key keeps its first id.
+        let stride = 20;
+        let key_of = |n: u16| -> Vec<Lane> { (0..stride as u16).map(|p| (n + p) % 23).collect() };
+        let mut set = KeySet::new(stride);
+        for n in 0..500u16 {
+            let key = key_of(n);
+            let (id, fresh) = set.insert(&key, hash_lanes(&key));
+            // Keys repeat with period 23.
+            assert_eq!(fresh, n < 23, "key {n}");
+            assert_eq!(id, usize::from(n % 23));
+            assert_eq!(set.key(id), key.as_slice());
         }
-        if !ok {
-            continue;
+        assert_eq!(set.len(), 23);
+        let mut big = KeySet::new(stride);
+        for n in 0..5000u16 {
+            let mut key = key_of(n);
+            key[0] = n;
+            assert_eq!(big.insert(&key, hash_lanes(&key)), (usize::from(n), true));
         }
-        let total = opt.impl_cost + tcost;
-        let slot = map
-            .entry(opt.out_format)
-            .or_insert((f64::INFINITY, usize::MAX, Vec::new()));
-        if total < slot.0 {
-            *slot = (total, oi, transforms);
+        for n in 0..5000u16 {
+            let mut key = key_of(n);
+            key[0] = n;
+            assert_eq!(big.insert(&key, hash_lanes(&key)), (usize::from(n), false));
         }
     }
-    map
 }

@@ -86,11 +86,10 @@ impl Json {
     /// # Errors
     /// A human-readable description of the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing characters at byte {pos}"));
         }
         Ok(value)
@@ -150,12 +149,24 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// How deeply arrays and objects may nest. Request documents need
+/// about five levels; the limit keeps a hostile line from exhausting
+/// the parser's stack.
+pub(crate) const MAX_JSON_DEPTH: usize = 128;
+
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_JSON_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {pos}"
+        ));
+    }
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_obj(text, pos, depth + 1),
+        Some(b'[') => parse_arr(text, pos, depth + 1),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -189,7 +200,8 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -227,9 +239,13 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Advance one UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
+                // Advance one UTF-8 scalar, not one byte. `pos` only
+                // ever steps over whole scalars, so it sits on a char
+                // boundary and decoding touches this scalar alone.
+                let c = text
+                    .get(*pos..)
+                    .and_then(|rest| rest.chars().next())
+                    .ok_or("unterminated string")?;
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -237,7 +253,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -246,7 +263,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -259,7 +276,8 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -269,10 +287,10 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -615,6 +633,25 @@ mod tests {
             Json::parse(r#""aA\n""#).expect("escapes"),
             Json::Str("aA\n".into())
         );
+    }
+
+    #[test]
+    fn json_nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_JSON_DEPTH + 1)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far past the limit the parser answers instead of overflowing
+        // its stack, for arrays and objects alike.
+        assert!(Json::parse(&"[".repeat(50_000)).is_err());
+        assert!(Json::parse(&"{\"a\": ".repeat(50_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_decode_every_scalar() {
+        let id: String = "aé€😀".repeat(25_000);
+        let doc = Json::parse(&format!("{{\"id\": \"{id}\"}}")).expect("parses");
+        assert_eq!(doc.get("id").and_then(Json::as_str), Some(id.as_str()));
     }
 
     #[test]

@@ -559,6 +559,26 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_gets_an_error_and_the_session_goes_on() {
+        let service = service();
+        let input = format!(
+            "{{\"id\": \"deep\", \"graph\": {}{}}}\n{}\n",
+            "[".repeat(50_000),
+            "]".repeat(50_000),
+            r#"{"id": "next", "workload": "motivating"}"#,
+        );
+        let mut out = Vec::new();
+        let summary = serve_lines(&service, input.as_bytes(), &mut out).expect("io");
+        assert_eq!((summary.requests, summary.ok, summary.errors), (2, 1, 1));
+        let lines: Vec<&str> = std::str::from_utf8(&out).expect("utf8").lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].contains("\"status\": \"error\""), "{}", lines[0]);
+        assert!(lines[0].contains("nesting deeper than"), "{}", lines[0]);
+        assert!(lines[1].contains("\"id\": \"next\""), "{}", lines[1]);
+        assert!(lines[1].contains("\"status\": \"ok\""), "{}", lines[1]);
+    }
+
+    #[test]
     fn stats_op_reports_counters_and_percentiles() {
         let service = metered_service();
         let input = concat!(

@@ -236,6 +236,11 @@ pub struct WorkerFleet {
     shutting_down: AtomicBool,
     /// Chaos: per-vertex mid-result-frame stall milliseconds.
     stalls: Mutex<HashMap<u32, u64>>,
+    /// Task dispatches attempted across every slot.
+    fleet_dispatches: AtomicU64,
+    /// Chaos: SIGKILL whichever worker receives the fleet-wide dispatch
+    /// with this number; `u64::MAX` when unarmed.
+    kill_at_fleet_dispatch: AtomicU64,
     strategy_to_impl: HashMap<Strategy, u16>,
     monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -305,6 +310,8 @@ impl WorkerFleet {
             seq: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),
             stalls: Mutex::new(HashMap::new()),
+            fleet_dispatches: AtomicU64::new(0),
+            kill_at_fleet_dispatch: AtomicU64::new(u64::MAX),
             strategy_to_impl,
             monitor: Mutex::new(None),
         });
@@ -558,6 +565,16 @@ impl WorkerFleet {
         }
     }
 
+    /// Chaos hook: SIGKILL whichever worker receives the fleet's `nth`
+    /// further task dispatch (0 = the very next one), counted across
+    /// every worker. Unlike [`WorkerFleet::kill_worker_at_dispatch`],
+    /// the kill lands whenever the fleet sees `nth + 1` more dispatches,
+    /// however the scheduler spreads them over the workers.
+    pub fn kill_at_fleet_dispatch(&self, nth: u64) {
+        let at = self.fleet_dispatches.load(Ordering::SeqCst) + nth;
+        self.kill_at_fleet_dispatch.store(at, Ordering::SeqCst);
+    }
+
     /// Chaos hook: mute worker `worker`'s heartbeats — a simulated hang
     /// the monitor must notice.
     pub fn mute_heartbeats(&self, worker: u32) {
@@ -597,6 +614,15 @@ impl WorkerFleet {
             }
             _ => false,
         };
+        let nth = self.fleet_dispatches.fetch_add(1, Ordering::SeqCst);
+        let fleet_at = self.kill_at_fleet_dispatch.load(Ordering::SeqCst);
+        // Disarm before killing, so exactly one dispatch fires it.
+        let kill_now = kill_now
+            || (nth >= fleet_at
+                && self
+                    .kill_at_fleet_dispatch
+                    .compare_exchange(fleet_at, u64::MAX, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok());
         let conn = slot
             .conn
             .as_mut()

@@ -85,8 +85,9 @@ fn front_door_over_fleet_survives_kill_and_reports_death() {
     let fleet = WorkerFleet::spawn(cfg).expect("fleet spawns");
     front.attach_remote(fleet.clone());
 
-    // SIGKILL worker 0 during its second dispatch, mid-execution.
-    fleet.kill_worker_at_dispatch(0, 1);
+    // SIGKILL whichever worker receives the fleet's second dispatch,
+    // mid-execution.
+    fleet.kill_at_fleet_dispatch(1);
 
     let resp = front
         .execute(&ExecRequest {

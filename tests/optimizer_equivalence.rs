@@ -134,3 +134,103 @@ fn beam_widening_is_monotone_on_ffnn() {
         last = cost;
     }
 }
+
+/// The `matopt serve` planning defaults: the extended registry, the
+/// dense paper catalog, ten SimSQL-like workers and the serve beam.
+fn plan_at_serve_defaults(graph: &ComputeGraph) -> matopt_opt::Optimized {
+    let reg = ImplRegistry::extended();
+    let ctx = PlanContext::new(&reg, Cluster::simsql_like(10));
+    let cat = FormatCatalog::paper_default().dense_only();
+    let model = AnalyticalCostModel;
+    let octx = OptContext::new(&ctx, &cat, &model);
+    frontier_dp_beam(graph, &octx, matopt_serve::ServeConfig::default().beam).expect("plans")
+}
+
+fn serve_workload(spec: &str) -> ComputeGraph {
+    matopt_serve::protocol::workload_graph(spec, &Cluster::simsql_like(10)).expect("workload")
+}
+
+/// Golden plan costs of the paper-scale cold-planning graphs at serve
+/// defaults, pinned bit for bit (each literal is the shortest decimal
+/// that round-trips): a faster frontier DP must find exactly the same
+/// optimum and sum its cost in the same order.
+#[test]
+fn golden_costs_at_serve_defaults() {
+    let golden: [(&str, f64); 7] = [
+        ("ffnn:80000", 1_426.906_813_793_780_9),
+        ("inverse", 687.699_574_999_999_9),
+        ("ffnn:40000", 651.459_697_168_781_3),
+        ("ffnn:60000", 987.940_755_481_281_5),
+        ("ffnn-full:40000", 1_389.419_021_211_031_8),
+        ("amazoncat:1000:4000", 466.521_152_079_375),
+        ("amazoncat:1000:4000:sparse", 438.292_493_195_386_1),
+    ];
+    for (spec, want) in golden {
+        let got = plan_at_serve_defaults(&serve_workload(spec)).cost;
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{spec}: planned {got:.17e}, golden {want:.17e}"
+        );
+    }
+}
+
+/// Planning the same graph twice in one process gives the same plan:
+/// ties among equal-cost joint states break on a fixed order, never on
+/// hash-map iteration order.
+#[test]
+fn planning_is_deterministic() {
+    for spec in [
+        "ffnn:80000",
+        "inverse",
+        "ffnn:40000",
+        "ffnn:60000",
+        "ffnn-full:40000",
+        "amazoncat:1000:4000",
+        "amazoncat:1000:4000:sparse",
+        "chain:1",
+        "chain:3",
+    ] {
+        let g = serve_workload(spec);
+        let a = plan_at_serve_defaults(&g);
+        let b = plan_at_serve_defaults(&g);
+        assert_eq!(a.annotation, b.annotation, "{spec}: annotations differ");
+        assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{spec}: costs differ");
+        assert_eq!(
+            a.beam_truncated, b.beam_truncated,
+            "{spec}: truncation differs"
+        );
+    }
+}
+
+/// A frontier class wider than 16 members still plans: one shared
+/// source feeds 17 unary ops that a chain of adds consumes only at the
+/// end, so the class holds the source and every op result at once.
+#[test]
+fn wide_frontier_class_plans() {
+    let reg = ImplRegistry::paper_default();
+    let ctx = PlanContext::new(&reg, Cluster::simsql_like(5));
+    let cat = FormatCatalog::new(vec![
+        PhysFormat::SingleTuple,
+        PhysFormat::Tile { side: 1000 },
+    ]);
+    let model = AnalyticalCostModel;
+    let octx = OptContext::new(&ctx, &cat, &model);
+    let mut g = ComputeGraph::new();
+    let x = g.add_source(MatrixType::dense(2000, 2000), PhysFormat::SingleTuple);
+    let leaves: Vec<NodeId> = (0..17)
+        .map(|i| {
+            let op = if i % 2 == 0 { Op::Relu } else { Op::Neg };
+            g.add_op(op, &[x]).unwrap()
+        })
+        .collect();
+    let mut acc = leaves[0];
+    for leaf in &leaves[1..] {
+        acc = g.add_op(Op::Add, &[acc, *leaf]).unwrap();
+    }
+    assert!(matopt_opt::max_class_size(&g) > 16);
+    let opt = frontier_dp_beam(&g, &octx, 64).expect("plans");
+    validate(&g, &opt.annotation, &ctx).expect("type-correct");
+    let recost = plan_cost(&g, &opt.annotation, &ctx, &model).unwrap();
+    assert_eq!(recost, opt.cost);
+}
