@@ -31,21 +31,33 @@
 //!   checks beam plans against brute force on small DAGs).
 //!
 //! The Equation (2) cross product visits up to millions of joint
-//! entries per graph, so it allocates nothing per entry:
+//! entries per graph, so it hashes and allocates nothing per entry:
 //!
 //! * **Packed keys** — each run interns its physical formats to small
 //!   integer ids, and a joint key is one 16-bit lane per class member.
-//!   Keys of one table live as fixed-stride rows of a flat arena,
-//!   deduplicated through an open-addressed index under a small
-//!   multiplicative hash with a finalizer. Any class size takes the
-//!   same path. Class tables are parallel `keys` / `(cost, trace)`
-//!   vectors, only ever iterated; arrival maps are indexed by the
-//!   packed producer-format key.
-//! * **Lazy traces** — while the cross product runs, a joint slot
-//!   holds its cost, the arrival entry that produced it and the linear
-//!   index of the merged-table combination. Only the entries that
-//!   survive the beam cut get a trace step, with parents decoded from
-//!   that index and transformations looked up again.
+//!   Keys of one table live as fixed-stride rows of a flat arena. Class
+//!   tables are parallel `keys` / `(cost, trace)` vectors, only ever
+//!   iterated; arrival maps are indexed by the packed producer-format
+//!   key, deduplicated through an open-addressed index under a small
+//!   multiplicative hash with a finalizer.
+//! * **Dense joint index** — a new key is the retained lanes of each
+//!   merged table, in table order, then the output format. Within one
+//!   merged table every entry's retained lanes fall in exactly one
+//!   group, so before the cross product each table's entries are
+//!   grouped once (a table with no retained member is one group, one
+//!   that retains every member has a group per entry). A candidate's
+//!   key is then the mixed-radix cell `(group per table, output format
+//!   rank)` of a dense array that maps cells to slots, with no hashing.
+//!   There are at most `combinations × output formats` cells, so the
+//!   array is no larger than the work the loop already does.
+//! * **Lazy traces and keys** — while the cross product runs, a joint
+//!   slot holds its cost, the arrival entry that produced it and the
+//!   linear index of the merged-table combination. Only the entries
+//!   that survive the beam cut get a trace step and a key row, decoded
+//!   from that index; the beam decodes keys only to break cost ties.
+//! * **Flat trace arenas** — a trace step holds ranges into one
+//!   per-run arena of transformations and one of parent traces;
+//!   survivors of one arrival entry share its transformation range.
 //! * **Deterministic ties** — tables keep their entries in discovery
 //!   order, the cross product runs over them in that order, and a
 //!   slot only moves to a strictly cheaper candidate. The beam keeps
@@ -63,6 +75,7 @@ use matopt_core::{
 };
 use matopt_obs::Subsystem;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Index into the trace arena.
 type TraceId = usize;
@@ -79,11 +92,29 @@ enum TraceStep {
     Compute {
         vertex: NodeId,
         impl_id: ImplId,
-        transforms: Vec<Transform>,
         output_format: PhysFormat,
-        /// The trace of the chosen entry of each merged parent table.
-        parents: Vec<TraceId>,
+        /// The input transformations, a range of [`Traces::transforms`].
+        transforms: Range<usize>,
+        /// The trace of the chosen entry of each merged parent table, a
+        /// range of [`Traces::parents`].
+        parents: Range<usize>,
     },
+}
+
+/// The trace steps of one run, with the variable-length parts of every
+/// step in two shared arenas.
+#[derive(Default)]
+struct Traces {
+    steps: Vec<TraceStep>,
+    transforms: Vec<Transform>,
+    parents: Vec<TraceId>,
+}
+
+impl Traces {
+    fn push(&mut self, step: TraceStep) -> TraceId {
+        self.steps.push(step);
+        self.steps.len() - 1
+    }
 }
 
 /// A joint cost table for one equivalence class along the frontier.
@@ -132,25 +163,18 @@ impl Formats {
     }
 }
 
-const HASH_SEED: u64 = 0x243F_6A88_85A3_08D3;
-
-/// Folds one lane into a running key hash.
-fn hash_step(h: u64, lane: Lane) -> u64 {
-    (h.rotate_left(5) ^ u64::from(lane)).wrapping_mul(0x517C_C1B7_2722_0A95)
-}
-
-/// The 64-bit MurmurHash3 finalizer: spreads every input bit over the
-/// high half, which picks index slots and tags.
-fn hash_finish(mut h: u64) -> u64 {
+/// Hashes a packed key: a small multiplicative fold over the lanes,
+/// then the 64-bit MurmurHash3 finalizer, which spreads every input bit
+/// over the high half that picks index slots and tags.
+fn hash_lanes(lanes: &[Lane]) -> u64 {
+    let mut h = lanes.iter().fold(0x243F_6A88_85A3_08D3, |h: u64, l| {
+        (h.rotate_left(5) ^ u64::from(*l)).wrapping_mul(0x517C_C1B7_2722_0A95)
+    });
     h ^= h >> 33;
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;
     h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
     h ^ (h >> 33)
-}
-
-fn hash_lanes(lanes: &[Lane]) -> u64 {
-    hash_finish(lanes.iter().fold(HASH_SEED, |h, l| hash_step(h, *l)))
 }
 
 /// A set of packed keys of one fixed stride: rows in a flat arena,
@@ -234,6 +258,8 @@ impl KeySet {
 /// producer-format vector.
 struct Arrival {
     out: Lane,
+    /// Rank of `out` among the vertex's distinct output formats.
+    out_rank: usize,
     /// Transformations plus implementation.
     cost: f64,
     /// Index into the vertex's options.
@@ -243,7 +269,7 @@ struct Arrival {
 }
 
 /// A new-table slot during the cross product: the best cost so far and
-/// what produced it, from which the trace is built if the slot
+/// what produced it, from which the trace and key are built if the slot
 /// survives the beam cut.
 #[derive(Clone, Copy)]
 struct JointSlot {
@@ -253,6 +279,34 @@ struct JointSlot {
     /// Mixed-radix index of the merged-table entry combination, the
     /// first merged table varying fastest.
     combo: u64,
+}
+
+/// An unset cell of the dense joint index.
+const UNSET: u32 = u32::MAX;
+
+/// Groups the entries of `table` by their lanes at the retained
+/// `positions`. Returns each entry's group, numbered in discovery order,
+/// and the group count. A table with no retained member is one group;
+/// one that retains every member has one group per entry, as its keys
+/// are distinct.
+fn group_entries(table: &ClassTable, positions: &[usize]) -> (Vec<usize>, usize) {
+    if positions.is_empty() {
+        return (vec![0; table.len()], 1);
+    }
+    if positions.len() == table.verts.len() {
+        return ((0..table.len()).collect(), table.len());
+    }
+    let mut set = KeySet::new(positions.len());
+    let mut lanes: Vec<Lane> = vec![0; positions.len()];
+    let ids: Vec<usize> = (0..table.len())
+        .map(|e| {
+            for (lane, pos) in lanes.iter_mut().zip(positions) {
+                *lane = table.lane(e, *pos);
+            }
+            set.insert(&lanes, hash_lanes(&lanes)).0
+        })
+        .collect();
+    (ids, set.len())
 }
 
 /// Memoized edge-transformation lookups of one vertex, a flat
@@ -355,7 +409,7 @@ fn frontier_dp_inner(
     let mut beam_truncated = 0usize;
     let mut visited = vec![false; graph.len()];
     let mut formats = Formats::default();
-    let mut traces: Vec<TraceStep> = Vec::new();
+    let mut traces = Traces::default();
     // Live tables; `None` marks consumed (merged) slots.
     let mut front: Vec<Option<ClassTable>> = Vec::new();
     // Where each frontier vertex currently lives.
@@ -366,12 +420,12 @@ fn frontier_dp_inner(
             NodeKind::Source { format } => {
                 // Lines 2–7: sources are already optimized.
                 visited[id.index()] = true;
-                traces.push(TraceStep::Source);
+                let trace = traces.push(TraceStep::Source);
                 table_of[id.index()] = front.len();
                 front.push(Some(ClassTable {
                     verts: vec![id],
                     keys: vec![formats.id(*format)],
-                    entries: vec![(0.0, traces.len() - 1)],
+                    entries: vec![(0.0, trace)],
                 }));
             }
             NodeKind::Compute { .. } => {
@@ -404,24 +458,24 @@ fn frontier_dp_inner(
         total += cost;
         let mut stack = vec![*trace];
         while let Some(t) = stack.pop() {
-            match &traces[t] {
+            match &traces.steps[t] {
                 TraceStep::Source => {}
                 TraceStep::Compute {
                     vertex,
                     impl_id,
-                    transforms,
                     output_format,
+                    transforms,
                     parents,
                 } => {
                     annotation.set(
                         *vertex,
                         VertexChoice {
                             impl_id: *impl_id,
-                            input_transforms: transforms.clone(),
+                            input_transforms: traces.transforms[transforms.clone()].to_vec(),
                             output_format: *output_format,
                         },
                     );
-                    stack.extend(parents.iter().copied());
+                    stack.extend_from_slice(&traces.parents[parents.clone()]);
                 }
             }
         }
@@ -449,7 +503,7 @@ fn process_vertex(
     front: &mut Vec<Option<ClassTable>>,
     table_of: &mut [usize],
     formats: &mut Formats,
-    traces: &mut Vec<TraceStep>,
+    traces: &mut Traces,
     beam: usize,
 ) -> Result<usize, OptError> {
     let node = graph.node(v);
@@ -545,16 +599,47 @@ fn process_vertex(
     let mut arrival_ranges: Vec<(usize, usize)> = Vec::new();
     let mut arrivals: Vec<Arrival> = Vec::new();
 
+    // Dense joint index. A new key is the retained lanes of each merged
+    // table, in table order, then the output lane, so it is fixed by
+    // each table's retained-lane group plus the output format: a cell
+    // numbers that tuple in mixed radix.
+    let mut out_lanes = outs.clone();
+    out_lanes.sort_unstable();
+    out_lanes.dedup();
+    let out_rank: Vec<usize> = outs
+        .iter()
+        .map(|o| out_lanes.binary_search(o).expect("listed output"))
+        .collect();
+    let mut cells = out_lanes.len();
+    let cell_offsets: Vec<Vec<usize>> = merged
+        .iter()
+        .enumerate()
+        .map(|(ti, t)| {
+            let positions: Vec<usize> = retained
+                .iter()
+                .filter(|(rt, _)| *rt == ti)
+                .map(|(_, pos)| *pos)
+                .collect();
+            let (group_of, groups) = group_entries(t, &positions);
+            let offsets = group_of.into_iter().map(|g| g * cells).collect();
+            cells = cells
+                .checked_mul(groups)
+                .expect("joint cells are bounded by the cross product's size");
+            offsets
+        })
+        .collect();
+    // At most one cell per (combination, output format) pair, so the
+    // index is no larger than the work the cross product does.
+    let mut index = vec![UNSET; cells];
+
     // Equation (2): cross product of one entry per merged table, with
     // the (implementation × format) inner minimization factored into
     // the arrival map.
     let stride = verts.len();
-    let mut joint = KeySet::new(stride);
     let mut slots: Vec<JointSlot> = Vec::new();
     let mut pick = vec![0usize; merged.len()];
     let mut combo = 0u64;
     let mut pf: Vec<Lane> = vec![0; n_in];
-    let mut key: Vec<Lane> = vec![0; stride];
     'outer: loop {
         let base_cost: f64 = merged.iter().zip(&pick).map(|(t, e)| t.entries[*e].0).sum();
 
@@ -588,6 +673,7 @@ fn process_vertex(
                     Some(_) => {}
                     None => arrivals.push(Arrival {
                         out: outs[oi],
+                        out_rank: out_rank[oi],
                         cost: total,
                         option: oi,
                         producers,
@@ -598,27 +684,25 @@ fn process_vertex(
         }
 
         let (start, end) = arrival_ranges[producers];
-        if start < end {
-            for (lane, (ti, pos)) in key.iter_mut().zip(&retained) {
-                *lane = merged[*ti].lane(pick[*ti], *pos);
-            }
-            let prefix = key[..stride - 1]
-                .iter()
-                .fold(HASH_SEED, |h, l| hash_step(h, *l));
-            for (ai, arrival) in arrivals[start..end].iter().enumerate() {
-                let cost = base_cost + arrival.cost;
-                key[stride - 1] = arrival.out;
-                let (id, fresh) = joint.insert(&key, hash_finish(hash_step(prefix, arrival.out)));
-                let candidate = JointSlot {
-                    cost,
-                    arrival: start + ai,
-                    combo,
-                };
-                if fresh {
+        let cell_base: usize = cell_offsets.iter().zip(&pick).map(|(o, e)| o[*e]).sum();
+        for (ai, arrival) in arrivals[start..end].iter().enumerate() {
+            let cost = base_cost + arrival.cost;
+            let cell = cell_base + arrival.out_rank;
+            let candidate = JointSlot {
+                cost,
+                arrival: start + ai,
+                combo,
+            };
+            match index[cell] {
+                UNSET => {
+                    index[cell] = u32::try_from(slots.len())
+                        .ok()
+                        .filter(|i| *i != UNSET)
+                        .expect("a joint table holds fewer than 2^32 - 1 entries");
                     slots.push(candidate);
-                } else if cost < slots[id].cost {
-                    slots[id] = candidate;
                 }
+                id if cost < slots[id as usize].cost => slots[id as usize] = candidate,
+                _ => {}
             }
         }
 
@@ -632,10 +716,30 @@ fn process_vertex(
         }
         break;
     }
+    drop(index);
 
     if slots.is_empty() {
         return Err(OptError::NoFeasiblePlan(v));
     }
+    // A slot's merged-table entries and joint key, decoded from its
+    // combination index.
+    let mut combo_radix = Vec::with_capacity(merged.len());
+    let mut radix = 1u64;
+    for t in &merged {
+        combo_radix.push(radix);
+        radix *= t.len() as u64;
+    }
+    let (merged, arrivals) = (&merged, &arrivals);
+    let pick_of = &|combo: u64, ti: usize| -> usize {
+        ((combo / combo_radix[ti]) % merged[ti].len() as u64) as usize
+    };
+    let key_of = |slot: JointSlot| {
+        retained
+            .iter()
+            .map(move |(ti, pos)| merged[*ti].lane(pick_of(slot.combo, *ti), *pos))
+            .chain(std::iter::once(arrivals[slot.arrival].out))
+    };
+
     // Beam: keep only the cheapest joint states when over the cap, in
     // their discovery order.
     let mut truncated = 0usize;
@@ -643,10 +747,10 @@ fn process_vertex(
     if keep.len() > beam {
         truncated = keep.len() - beam;
         keep.select_nth_unstable_by(beam, |a, b| {
-            slots[*a]
-                .cost
-                .total_cmp(&slots[*b].cost)
-                .then_with(|| joint.key(*a).cmp(joint.key(*b)))
+            let (a, b) = (slots[*a], slots[*b]);
+            a.cost
+                .total_cmp(&b.cost)
+                .then_with(|| key_of(a).cmp(key_of(b)))
         });
         keep.truncate(beam);
         keep.sort_unstable();
@@ -654,41 +758,49 @@ fn process_vertex(
             .counter(Subsystem::Optimizer, "beam_truncated", truncated as f64);
     }
 
-    // Trace steps for the survivors only.
+    // Trace steps and key rows for the survivors only.
+    let mut arrival_transforms: Vec<Option<Range<usize>>> = vec![None; arrivals.len()];
     let mut keys = Vec::with_capacity(keep.len() * stride);
     let mut entries = Vec::with_capacity(keep.len());
     for id in keep {
         let slot = slots[id];
         let arrival = &arrivals[slot.arrival];
-        let pf = producer_keys.key(arrival.producers);
-        let pin = &pins[arrival.option * n_in..(arrival.option + 1) * n_in];
-        let transforms = (0..n_in)
-            .map(|j| {
-                tcache
-                    .get(j, pf[j], pin[j], formats, octx)
-                    .expect("arrivals only use feasible transformations")
-                    .0
+        // Survivors of one arrival share its transformations.
+        let transforms = arrival_transforms[slot.arrival]
+            .get_or_insert_with(|| {
+                let pf = producer_keys.key(arrival.producers);
+                let pin = &pins[arrival.option * n_in..(arrival.option + 1) * n_in];
+                let start = traces.transforms.len();
+                for j in 0..n_in {
+                    let (t, _) = tcache
+                        .get(j, pf[j], pin[j], formats, octx)
+                        .expect("arrivals only use feasible transformations");
+                    traces.transforms.push(t);
+                }
+                start..traces.transforms.len()
             })
-            .collect();
-        let mut rest = slot.combo;
-        let parents = merged
-            .iter()
-            .map(|t| {
-                let n = t.len() as u64;
-                let e = (rest % n) as usize;
-                rest /= n;
-                t.entries[e].1
-            })
-            .collect();
-        traces.push(TraceStep::Compute {
+            .clone();
+        for (ti, e) in pick.iter_mut().enumerate() {
+            *e = pick_of(slot.combo, ti);
+        }
+        let parents = traces.parents.len()..traces.parents.len() + merged.len();
+        traces
+            .parents
+            .extend(merged.iter().zip(&pick).map(|(t, e)| t.entries[*e].1));
+        let trace = traces.push(TraceStep::Compute {
             vertex: v,
             impl_id: options[arrival.option].impl_id,
-            transforms,
             output_format: formats.get(arrival.out),
+            transforms,
             parents,
         });
-        keys.extend_from_slice(joint.key(id));
-        entries.push((slot.cost, traces.len() - 1));
+        keys.extend(
+            retained
+                .iter()
+                .map(|(ti, pos)| merged[*ti].lane(pick[*ti], *pos)),
+        );
+        keys.push(arrival.out);
+        entries.push((slot.cost, trace));
     }
 
     // The post-step class size is the `c` of the §6.3 `|P|^c` bound;
@@ -717,6 +829,22 @@ fn process_vertex(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn entries_group_by_their_retained_lanes() {
+        // Three members; entries listed as key rows.
+        let rows: [[Lane; 3]; 5] = [[0, 1, 2], [0, 2, 2], [1, 1, 2], [0, 1, 3], [1, 1, 3]];
+        let table = ClassTable {
+            verts: (0..3).map(NodeId).collect(),
+            keys: rows.concat(),
+            entries: (0..rows.len()).map(|e| (0.0, e)).collect(),
+        };
+        // Groups are numbered in discovery order.
+        assert_eq!(group_entries(&table, &[0, 1]), (vec![0, 1, 2, 0, 2], 3));
+        assert_eq!(group_entries(&table, &[2]), (vec![0, 0, 0, 1, 1], 2));
+        assert_eq!(group_entries(&table, &[]), (vec![0; 5], 1));
+        assert_eq!(group_entries(&table, &[0, 1, 2]), ((0..5).collect(), 5));
+    }
 
     #[test]
     fn key_set_numbers_distinct_keys_across_growth() {

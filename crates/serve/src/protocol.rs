@@ -344,7 +344,23 @@ fn bad(msg: impl Into<String>) -> ServeError {
 /// # Errors
 /// [`ServeError::BadRequest`] describing the problem.
 pub fn parse_request(line: &str, cluster: &Cluster) -> Result<PlanRequest, ServeError> {
-    let doc = Json::parse(line).map_err(|e| bad(format!("invalid JSON: {e}")))?;
+    request_from_json(&parse_line(line)?, cluster)
+}
+
+/// Parses one request line into its JSON document.
+///
+/// # Errors
+/// [`ServeError::BadRequest`] when the line is not one JSON document.
+pub(crate) fn parse_line(line: &str) -> Result<Json, ServeError> {
+    Json::parse(line).map_err(|e| bad(format!("invalid JSON: {e}")))
+}
+
+/// Reads a plan request from an already parsed request document; see
+/// [`parse_request`].
+///
+/// # Errors
+/// [`ServeError::BadRequest`] describing the problem.
+pub(crate) fn request_from_json(doc: &Json, cluster: &Cluster) -> Result<PlanRequest, ServeError> {
     // String ids pass through; numeric ids (JSON-RPC style) are
     // rendered and echoed back as strings.
     let id = doc

@@ -10,13 +10,14 @@
 //! {"id": "r2", "status": "error", "error": "bad request: …"}
 //! ```
 //!
-//! Errors are *responses*, never process exits: a malformed line, a
-//! type-incorrect graph, or an overloaded service answers the client
-//! and keeps serving. The output is flushed after every response so
-//! piped clients see answers immediately.
+//! Errors are *responses*, never process exits: a malformed, oversized
+//! or non-UTF-8 line, a type-incorrect graph, or an overloaded service
+//! answers the client and keeps serving. Each line is parsed once. The
+//! output is flushed after every response so piped clients see answers
+//! immediately.
 
-use crate::protocol::{json_escape, parse_request, Json};
-use crate::PlanService;
+use crate::protocol::{json_escape, parse_line, request_from_json, Json};
+use crate::{PlanService, ServeError};
 use matopt_obs::{HistogramSnapshot, Subsystem};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
@@ -100,10 +101,82 @@ enum Control {
     Drain,
 }
 
+/// The longest request line the serve loops accept, in bytes, without
+/// its terminator. A longer line is skipped to its newline without being
+/// buffered and is answered with an error response.
+pub(crate) const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// A request line parsed once: its JSON document, or the bad-request
+/// error that answers it.
+type Parsed = Result<Json, ServeError>;
+
+/// Reads the next line of `input` as bytes, without its `\n` or `\r\n`
+/// terminator. `None` at EOF; otherwise the line's text, or the error
+/// for an oversized or non-UTF-8 line.
+fn read_line<R: BufRead>(input: &mut R) -> io::Result<Option<Result<String, ServeError>>> {
+    let mut line = Vec::new();
+    let mut oversized = false;
+    let mut read_any = false;
+    loop {
+        let (used, done) = {
+            let available = match input.fill_buf() {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if available.is_empty() {
+                break;
+            }
+            let (chunk, used, done) = match available.iter().position(|b| *b == b'\n') {
+                Some(i) => (&available[..i], i + 1, true),
+                None => (available, available.len(), false),
+            };
+            oversized |= line.len() + chunk.len() > MAX_LINE_BYTES;
+            if !oversized {
+                line.extend_from_slice(chunk);
+            }
+            (used, done)
+        };
+        input.consume(used);
+        read_any = true;
+        if done {
+            break;
+        }
+    }
+    if !read_any {
+        return Ok(None);
+    }
+    if oversized {
+        return Ok(Some(Err(ServeError::BadRequest(format!(
+            "request line longer than {MAX_LINE_BYTES} bytes"
+        )))));
+    }
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    Ok(Some(String::from_utf8(line).map_err(|_| {
+        ServeError::BadRequest("request line is not valid UTF-8".into())
+    })))
+}
+
+/// The next non-blank request line of `input`, parsed; `None` at EOF.
+fn next_request<R: BufRead>(input: &mut R) -> io::Result<Option<Parsed>> {
+    loop {
+        match read_line(input)? {
+            Some(Ok(text)) if text.trim().is_empty() => {}
+            line => return Ok(line.map(|l| l.and_then(|text| parse_line(&text)))),
+        }
+    }
+}
+
+/// The request's string id, echoed in responses that are not plans.
+fn string_id(parsed: &Parsed) -> Option<&str> {
+    parsed.as_ref().ok()?.get("id")?.as_str()
+}
+
 /// Recognizes `{"op": "shutdown"}` / `{"op": "drain"}` control lines.
-fn control_op(line: &str) -> Option<Control> {
-    let doc = Json::parse(line).ok()?;
-    match doc.get("op").and_then(Json::as_str)? {
+fn control_op(parsed: &Parsed) -> Option<Control> {
+    match parsed.as_ref().ok()?.get("op").and_then(Json::as_str)? {
         "shutdown" => Some(Control::Shutdown),
         "drain" => Some(Control::Drain),
         _ => None,
@@ -111,10 +184,8 @@ fn control_op(line: &str) -> Option<Control> {
 }
 
 /// The acknowledgement response for a control line.
-fn control_ack(line: &str, op: Control) -> String {
-    let id = Json::parse(line)
-        .ok()
-        .and_then(|d| d.get("id").and_then(Json::as_str).map(str::to_string));
+fn control_ack(parsed: &Parsed, op: Control) -> String {
+    let id = string_id(parsed);
     let op = match op {
         Control::Shutdown => "shutdown",
         Control::Drain => "drain",
@@ -122,7 +193,7 @@ fn control_ack(line: &str, op: Control) -> String {
     match id {
         Some(id) => format!(
             "{{\"id\": \"{}\", \"status\": \"ok\", \"op\": \"{op}\"}}",
-            json_escape(&id)
+            json_escape(id)
         ),
         None => format!("{{\"id\": null, \"status\": \"ok\", \"op\": \"{op}\"}}"),
     }
@@ -152,24 +223,20 @@ pub fn serve_lines<R: BufRead, W: Write>(
 /// Propagates I/O errors from the transport.
 pub fn serve_lines_session<R: BufRead, W: Write>(
     service: &PlanService,
-    input: R,
+    mut input: R,
     output: &mut W,
     session: &ServeSession,
 ) -> io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
     let mut draining = false;
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
+    while let Some(parsed) = next_request(&mut input)? {
         summary.requests += 1;
         session.requests_read.fetch_add(1, Ordering::AcqRel);
-        let control = control_op(&line);
+        let control = control_op(&parsed);
         let response = match control {
-            Some(op) => control_ack(&line, op),
-            None if draining => draining_error(&line),
-            None => respond(service, &line),
+            Some(op) => control_ack(&parsed, op),
+            None if draining => draining_error(&parsed),
+            None => respond_parsed(service, &parsed),
         };
         if response.contains("\"status\": \"ok\"") {
             summary.ok += 1;
@@ -200,11 +267,8 @@ pub fn serve_lines_session<R: BufRead, W: Write>(
 }
 
 /// The error response for a request that arrived after a drain.
-fn draining_error(line: &str) -> String {
-    let id = Json::parse(line)
-        .ok()
-        .and_then(|d| d.get("id").and_then(Json::as_str).map(str::to_string));
-    error_line(id.as_deref(), &crate::ServeError::Draining.to_string())
+fn draining_error(parsed: &Parsed) -> String {
+    error_line(string_id(parsed), &ServeError::Draining.to_string())
 }
 
 /// Serves requests from `input` on `threads` worker threads, writing
@@ -245,7 +309,7 @@ pub fn serve_lines_concurrent<R: BufRead, W: Write + Send>(
 /// Propagates I/O errors from the transport.
 pub fn serve_lines_concurrent_session<R: BufRead, W: Write + Send>(
     service: &PlanService,
-    input: R,
+    mut input: R,
     output: &mut W,
     threads: usize,
     session: &ServeSession,
@@ -256,7 +320,7 @@ pub fn serve_lines_concurrent_session<R: BufRead, W: Write + Send>(
     let mut summary = ServeSummary::default();
     // Everything with seq > drain_seq is refused with a draining error.
     let drain_seq = AtomicU64::new(u64::MAX);
-    let (work_tx, work_rx) = mpsc::sync_channel::<(u64, String)>(threads * 2);
+    let (work_tx, work_rx) = mpsc::sync_channel::<(u64, Parsed)>(threads * 2);
     let work_rx = Arc::new(Mutex::new(work_rx));
     let (done_tx, done_rx) = mpsc::channel::<(u64, String)>();
 
@@ -267,13 +331,13 @@ pub fn serve_lines_concurrent_session<R: BufRead, W: Write + Send>(
             let drain_seq = &drain_seq;
             scope.spawn(move || loop {
                 let next = work_rx.lock().expect("work queue").recv();
-                let Ok((seq, line)) = next else {
+                let Ok((seq, parsed)) = next else {
                     return;
                 };
-                let response = match control_op(&line) {
-                    Some(op) => control_ack(&line, op),
-                    None if seq > drain_seq.load(Ordering::Acquire) => draining_error(&line),
-                    None => respond(service, &line),
+                let response = match control_op(&parsed) {
+                    Some(op) => control_ack(&parsed, op),
+                    None if seq > drain_seq.load(Ordering::Acquire) => draining_error(&parsed),
+                    None => respond_parsed(service, &parsed),
                 };
                 if done_tx.send((seq, response)).is_err() {
                     return;
@@ -312,21 +376,19 @@ pub fn serve_lines_concurrent_session<R: BufRead, W: Write + Send>(
         let mut clean = false;
         let mut read_error = None;
         let mut seq = 0u64;
-        for line in input.lines() {
-            let line = match line {
-                Ok(l) => l,
+        loop {
+            let parsed = match next_request(&mut input) {
+                Ok(Some(parsed)) => parsed,
+                Ok(None) => break,
                 Err(e) => {
                     read_error = Some(e);
                     break;
                 }
             };
-            if line.trim().is_empty() {
-                continue;
-            }
             summary.requests += 1;
             session.requests_read.fetch_add(1, Ordering::AcqRel);
-            let control = control_op(&line);
-            if work_tx.send((seq, line)).is_err() {
+            let control = control_op(&parsed);
+            if work_tx.send((seq, parsed)).is_err() {
                 break;
             }
             match control {
@@ -368,22 +430,29 @@ pub fn serve_lines_concurrent_session<R: BufRead, W: Write + Send>(
 /// top-level `{"op": "stats"}` line instead answers with the service's
 /// live statistics (see [`stats_line`]).
 pub fn respond(service: &PlanService, line: &str) -> String {
-    if let Ok(doc) = Json::parse(line) {
-        if let Some(op) = doc.get("op").and_then(Json::as_str) {
-            let id = doc.get("id").and_then(Json::as_str).map(str::to_string);
-            return match op {
-                "stats" => stats_line(service, id.as_deref()),
-                // Acknowledged here so a direct `respond` caller gets
-                // the same line the serve loop writes; the loop itself
-                // intercepts these to actually stop/drain.
-                "shutdown" => control_ack(line, Control::Shutdown),
-                "drain" => control_ack(line, Control::Drain),
-                other => error_line(id.as_deref(), &format!("unknown op {other:?}")),
-            };
-        }
+    respond_parsed(service, &parse_line(line))
+}
+
+/// [`respond`] for a line already parsed.
+fn respond_parsed(service: &PlanService, parsed: &Parsed) -> String {
+    let id = string_id(parsed);
+    let doc = match parsed {
+        Ok(doc) => doc,
+        Err(err) => return error_line(None, &err.to_string()),
+    };
+    if let Some(op) = doc.get("op").and_then(Json::as_str) {
+        return match op {
+            "stats" => stats_line(service, id),
+            // Acknowledged here so a direct `respond` caller gets the
+            // same line the serve loop writes; the loop itself
+            // intercepts these to actually stop/drain.
+            "shutdown" => control_ack(parsed, Control::Shutdown),
+            "drain" => control_ack(parsed, Control::Drain),
+            other => error_line(id, &format!("unknown op {other:?}")),
+        };
     }
     let cluster = service.cluster();
-    match parse_request(line, &cluster) {
+    match request_from_json(doc, &cluster) {
         Ok(req) => match service.plan(&req.graph) {
             Ok(planned) => format!(
                 "{{\"id\": \"{}\", \"status\": \"ok\", \"fingerprint\": \"{}\", \
@@ -400,14 +469,9 @@ pub fn respond(service: &PlanService, line: &str) -> String {
             ),
             Err(err) => error_line(Some(&req.id), &err.to_string()),
         },
-        Err(err) => {
-            // Best-effort id echo so the client can correlate the
-            // failure even though the request didn't parse as a whole.
-            let id = Json::parse(line)
-                .ok()
-                .and_then(|d| d.get("id").and_then(Json::as_str).map(str::to_string));
-            error_line(id.as_deref(), &err.to_string())
-        }
+        // Best-effort id echo so the client can correlate the failure
+        // even though the request didn't parse as a whole.
+        Err(err) => error_line(id, &err.to_string()),
     }
 }
 
@@ -576,6 +640,71 @@ mod tests {
         assert!(lines[0].contains("nesting deeper than"), "{}", lines[0]);
         assert!(lines[1].contains("\"id\": \"next\""), "{}", lines[1]);
         assert!(lines[1].contains("\"status\": \"ok\""), "{}", lines[1]);
+    }
+
+    /// A valid request, a line with invalid UTF-8, an oversized line
+    /// and another valid request.
+    fn hostile_bytes() -> Vec<u8> {
+        let mut input = Vec::new();
+        input.extend_from_slice(b"{\"id\": \"a\", \"workload\": \"motivating\"}\n");
+        input.extend_from_slice(b"{\"id\":\"\xff\xfe\"}\n");
+        input.extend_from_slice(b"{\"id\": \"big\", \"pad\": \"");
+        input.resize(input.len() + MAX_LINE_BYTES, b'x');
+        input.extend_from_slice(b"\"}\r\n");
+        input.extend_from_slice(b"{\"id\": \"b\", \"workload\": \"motivating\"}");
+        input
+    }
+
+    fn check_hostile_session(summary: ServeSummary, out: &[u8]) {
+        assert_eq!((summary.requests, summary.ok, summary.errors), (4, 2, 2));
+        let lines: Vec<&str> = std::str::from_utf8(out).expect("utf8").lines().collect();
+        assert_eq!(lines.len(), 4, "one response per line: {lines:?}");
+        assert!(lines[0].contains("\"id\": \"a\""), "{}", lines[0]);
+        assert!(lines[1].contains("not valid UTF-8"), "{}", lines[1]);
+        assert!(lines[1].contains("\"id\": null"), "{}", lines[1]);
+        assert!(
+            lines[2].contains("request line longer than"),
+            "{}",
+            lines[2]
+        );
+        assert!(lines[3].contains("\"id\": \"b\""), "{}", lines[3]);
+        assert!(lines[3].contains("\"status\": \"ok\""), "{}", lines[3]);
+        for line in &lines {
+            Json::parse(line).expect("response is valid JSON");
+        }
+    }
+
+    #[test]
+    fn invalid_and_oversized_lines_get_errors_and_the_session_goes_on() {
+        let service = service();
+        let input = hostile_bytes();
+        let mut out = Vec::new();
+        let summary = serve_lines(&service, input.as_slice(), &mut out).expect("io");
+        check_hostile_session(summary, &out);
+    }
+
+    #[test]
+    fn concurrent_loop_survives_invalid_and_oversized_lines() {
+        let service = service();
+        let input = hostile_bytes();
+        let mut out = Vec::new();
+        let summary = serve_lines_concurrent(&service, input.as_slice(), &mut out, 3).expect("io");
+        check_hostile_session(summary, &out);
+    }
+
+    #[test]
+    fn a_line_at_the_cap_is_read_whole() {
+        let mut line = b"{\"id\": \"x\", \"pad\": \"".to_vec();
+        let pad = MAX_LINE_BYTES - line.len() - 2;
+        line.resize(line.len() + pad, b'y');
+        line.extend_from_slice(b"\"}\n");
+        let mut input = line.as_slice();
+        let text = read_line(&mut input)
+            .expect("io")
+            .expect("a line")
+            .expect("valid");
+        assert_eq!(text.len(), MAX_LINE_BYTES);
+        assert!(read_line(&mut input).expect("io").is_none(), "EOF");
     }
 
     #[test]

@@ -95,6 +95,28 @@ proptest! {
         prop_assert!((t.cost - b.cost).abs() <= 1e-6 * t.cost.max(1.0));
     }
 
+    /// Small beams truncate most steps, including merges of several
+    /// tables and tables whose members all leave the frontier; the plan
+    /// must still be type-correct, re-cost to its claimed cost, and
+    /// repeat exactly.
+    #[test]
+    fn small_beams_plan_soundly(ops in prop::collection::vec(0u8..12, 2..9), beam in 1usize..=8) {
+        let reg = ImplRegistry::paper_default();
+        let ctx = PlanContext::new(&reg, Cluster::simsql_like(5));
+        let cat = catalog();
+        let model = AnalyticalCostModel;
+        let octx = OptContext::new(&ctx, &cat, &model);
+        let g = random_dag(ops, true);
+        let a = frontier_dp_beam(&g, &octx, beam).expect("beamed plan");
+        validate(&g, &a.annotation, &ctx).expect("type-correct");
+        let recost = plan_cost(&g, &a.annotation, &ctx, &model).unwrap();
+        prop_assert!((recost - a.cost).abs() <= 1e-9 * a.cost.max(1.0), "re-cost {} vs {}", recost, a.cost);
+        let b = frontier_dp_beam(&g, &octx, beam).expect("beamed plan");
+        prop_assert_eq!(&a.annotation, &b.annotation);
+        prop_assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+        prop_assert_eq!(a.beam_truncated, b.beam_truncated);
+    }
+
     /// A generous beam changes nothing on these graphs.
     #[test]
     fn beam_is_harmless_at_width(ops in prop::collection::vec(0u8..12, 2..5)) {
@@ -171,6 +193,44 @@ fn golden_costs_at_serve_defaults() {
             got.to_bits(),
             want.to_bits(),
             "{spec}: planned {got:.17e}, golden {want:.17e}"
+        );
+    }
+}
+
+/// FNV-1a over an annotation's `Debug` text: a stable digest of every
+/// vertex's implementation, transformations and output format.
+fn annotation_digest(annotation: &matopt_core::Annotation) -> u64 {
+    format!("{annotation:?}")
+        .bytes()
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+}
+
+/// The whole search at serve defaults, not just its optimum: how many
+/// joint states the beam dropped and which plan it picked, pinned for
+/// the cold-planning graphs. A faster frontier DP must visit, rank and
+/// cut the same states.
+#[test]
+fn golden_search_at_serve_defaults() {
+    let golden: [(&str, usize, u64); 9] = [
+        ("ffnn:80000", 161_972, 0x2539_3D74_90BD_7DA5),
+        ("inverse", 660_059, 0x9FC6_1BEA_E754_179C),
+        ("ffnn:40000", 144_350, 0x2539_3D74_90BD_7DA5),
+        ("ffnn:60000", 164_192, 0x2539_3D74_90BD_7DA5),
+        ("ffnn-full:40000", 640_637, 0x5542_5E39_1872_735E),
+        ("amazoncat:1000:4000", 480_218, 0xEB52_1A57_37F9_F512),
+        ("amazoncat:1000:4000:sparse", 449_453, 0x3710_7EE6_0DF7_3FDA),
+        ("chain:1", 0, 0x98C2_BDF6_B50B_90F1),
+        ("chain:3", 0, 0x872B_D89C_A8B8_11CC),
+    ];
+    for (spec, truncated, digest) in golden {
+        let plan = plan_at_serve_defaults(&serve_workload(spec));
+        assert_eq!(plan.beam_truncated, truncated, "{spec}: beam_truncated");
+        assert_eq!(
+            annotation_digest(&plan.annotation),
+            digest,
+            "{spec}: annotation digest"
         );
     }
 }
