@@ -3,9 +3,9 @@
 //!
 //! The acceptance bar is that [`execute_fault_tolerant`] with a
 //! [`FaultInjector::disabled`] injector costs < 2% versus the plain
-//! [`execute_plan`] path. With injection off the wrapper adds one
-//! injector branch, two `Instant::now` calls, and one bookkeeping
-//! update per compute vertex — and crucially *no* checkpoint clones,
+//! [`execute_plan`] path. With injection off no fault hook is
+//! installed: the run is the plain pipelined scheduler plus one
+//! `Option` check per vertex — and crucially *no* checkpoint clones,
 //! which are only taken when a live injector makes them worth paying
 //! for.
 //!
@@ -24,7 +24,9 @@
 use criterion::{criterion_group, Criterion};
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, NodeKind, PlanContext, RecoveryPolicy};
 use matopt_cost::AnalyticalCostModel;
-use matopt_engine::{execute_fault_tolerant, execute_plan, DistRelation, FaultInjector, FtConfig};
+use matopt_engine::{
+    execute_fault_tolerant, execute_plan, DistRelation, ExecOptions, FaultInjector, FtConfig,
+};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_obs::Obs;
@@ -87,6 +89,7 @@ fn run_ft(fx: &Fixture, policy: RecoveryPolicy) {
         &AnalyticalCostModel,
         FaultInjector::disabled(),
         &config,
+        &ExecOptions::default(),
         &Obs::disabled(),
     )
     .expect("executes");

@@ -1483,28 +1483,28 @@ fn run_analyze(
     };
     let remote: Option<Arc<dyn RemoteVertexExec>> =
         fleet.clone().map(|f| f as Arc<dyn RemoteVertexExec>);
+    let governed = governor.mem_budget.is_some() || governor.hedge.is_some() || remote.is_some();
+    let options = ExecOptions {
+        mem_budget: governor.mem_budget,
+        hedge: hedge_config,
+        remote,
+        ..ExecOptions::default()
+    };
     let analysis = match faults {
         Some((spec, seed, policy)) => {
             let injector = parse_fault_spec(spec, seed, graph.compute_count())?;
             let config = FtConfig {
                 policy,
-                mem_budget: governor.mem_budget,
-                hedge: hedge_config,
                 ..FtConfig::default()
             };
             println!("injecting faults ({spec}, seed {seed}) under the {policy} recovery policy:");
             explain_analyze_with_faults(
-                graph, annotation, &inputs, ctx, catalog, &env.model, injector, &config, obs,
+                graph, annotation, &inputs, ctx, catalog, &env.model, injector, &config, &options,
+                obs,
             )
             .map_err(|e| format!("fault-tolerant execution failed: {e}"))?
         }
-        None if governor.mem_budget.is_some() || governor.hedge.is_some() || remote.is_some() => {
-            let options = ExecOptions {
-                mem_budget: governor.mem_budget,
-                hedge: hedge_config,
-                remote,
-                ..ExecOptions::default()
-            };
+        None if governed => {
             explain_analyze_with_options(graph, annotation, &inputs, ctx, &env.model, options, obs)
                 .map_err(|e| format!("execution failed: {e}"))?
         }

@@ -215,7 +215,8 @@ impl Cluster {
 /// the nearest surviving ancestors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryPolicy {
-    /// Throw everything away and re-execute the plan from its sources.
+    /// Throw away every intermediate the crashing vertex depends on and
+    /// re-execute that part of the plan from its sources.
     Restart,
     /// Persist every completed vertex; after a crash, restore completed
     /// vertices from their checkpoints and recompute only in-flight

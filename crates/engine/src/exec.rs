@@ -15,7 +15,7 @@
 //! against.
 
 use crate::impl_exec::{execute_impl_shared, ExecError};
-use crate::schedule::run_pipelined;
+use crate::schedule::{run_pipelined, PipelineOutput};
 use crate::value::DistRelation;
 use matopt_core::{
     Annotation, ComputeGraph, ImplRegistry, MatrixType, NodeId, NodeKind, Op, PhysFormat, Strategy,
@@ -299,7 +299,7 @@ pub fn execute_plan_with(
         ]
     });
     let start = Instant::now();
-    let mut out = run_pipelined(
+    let out = run_pipelined(
         graph,
         annotation,
         inputs,
@@ -307,8 +307,18 @@ pub fn execute_plan_with(
         obs,
         options.retain_values,
         &options,
+        None,
     )?;
+    Ok(into_outcome(graph, out, start))
+}
 
+/// Hands a pipelined run's values back to the caller as an
+/// [`ExecOutcome`] timed from `start`.
+pub(crate) fn into_outcome(
+    graph: &ComputeGraph,
+    mut out: PipelineOutput,
+    start: Instant,
+) -> ExecOutcome {
     // Take each slot so the `Arc` is (normally) unique and `unshare`
     // moves instead of deep-copying; only values still aliased by an
     // identity edge's consumer pay a clone.
@@ -323,7 +333,7 @@ pub fn execute_plan_with(
         .into_iter()
         .map(|s| (s, values[&s].clone()))
         .collect();
-    Ok(ExecOutcome {
+    ExecOutcome {
         sinks,
         values,
         vertex_seconds: out.vertex_seconds,
@@ -336,12 +346,12 @@ pub fn execute_plan_with(
         governor: out.governor,
         pool: out.pool,
         total_seconds: start.elapsed().as_secs_f64(),
-    })
+    }
 }
 
 /// Takes the relation out of a (normally unique) `Arc`, cloning only if
 /// it is still shared.
-pub(crate) fn unshare(rel: Arc<DistRelation>) -> DistRelation {
+fn unshare(rel: Arc<DistRelation>) -> DistRelation {
     Arc::try_unwrap(rel).unwrap_or_else(|shared| (*shared).clone())
 }
 

@@ -10,7 +10,7 @@
 use crate::exec::{execute_plan_traced, execute_plan_with, ExecOptions, ExecOutcome, HedgeMark};
 use crate::faults::FaultInjector;
 use crate::impl_exec::ExecError;
-use crate::recovery::{execute_fault_tolerant, FtConfig, InjectedFault};
+use crate::recovery::{execute_fault_tolerant, FtConfig, FtOutcome, InjectedFault};
 use crate::sim::{simulate_plan, SimOutcome};
 use crate::value::DistRelation;
 use matopt_core::{
@@ -343,7 +343,7 @@ pub fn explain_analyze(
     let explanation = explain_plan(graph, annotation, ctx, model)
         .map_err(|e| ExecError::Internal(format!("plan error: {e}")))?;
     let exec = execute_plan_traced(graph, annotation, inputs, ctx.registry, obs)?;
-    Ok(join_analysis(explanation, exec, None, obs))
+    Ok(join_analysis(explanation, exec.into(), obs))
 }
 
 /// [`explain_analyze`] with execution options: the run goes through
@@ -369,37 +369,20 @@ pub fn explain_analyze_with_options(
     let explanation = explain_plan(graph, annotation, ctx, model)
         .map_err(|e| ExecError::Internal(format!("plan error: {e}")))?;
     let exec = execute_plan_with(graph, annotation, inputs, ctx.registry, obs, options)?;
-    Ok(join_analysis(explanation, exec, None, obs))
+    Ok(join_analysis(explanation, exec.into(), obs))
 }
 
-/// Per-run recovery stats carried from the fault-tolerant executor into
-/// the joined analysis.
-struct RecoveryStats {
-    faults: Vec<InjectedFault>,
-    retries: u32,
-    recoveries: u32,
-    recovery_seconds: f64,
-    per_vertex: Vec<crate::recovery::VertexRecovery>,
-}
-
-/// Joins the estimate side with the measured side (and recovery stats,
-/// when the run was fault-tolerant), emitting one `residual` record per
-/// row.
-fn join_analysis(
-    explanation: PlanExplanation,
-    exec: ExecOutcome,
-    recovery: Option<RecoveryStats>,
-    obs: &Obs,
-) -> PlanAnalysis {
+/// Joins the estimate side with the measured side and its recovery
+/// stats (all zero for a fault-free run), emitting one `residual`
+/// record per row.
+fn join_analysis(explanation: PlanExplanation, run: FtOutcome, obs: &Obs) -> PlanAnalysis {
+    let exec = run.exec;
     let mut steps = Vec::new();
     for est in explanation.steps {
         let v = est.vertex;
         let actual_impl_seconds = exec.vertex_seconds[v.index()];
         let actual_transform_seconds: f64 = exec.transform_seconds[v.index()].iter().sum();
-        let pv = recovery
-            .as_ref()
-            .map(|r| r.per_vertex[v.index()])
-            .unwrap_or_default();
+        let pv = run.per_vertex[v.index()];
         let step = AnalyzedStep {
             estimate: est,
             actual_impl_seconds,
@@ -419,28 +402,23 @@ fn join_analysis(
         });
         steps.push(step);
     }
-    let (faults, total_retries, total_recoveries, total_recovery_seconds) = match recovery {
-        Some(r) => (r.faults, r.retries, r.recoveries, r.recovery_seconds),
-        None => (Vec::new(), 0, 0, 0.0),
-    };
     PlanAnalysis {
         outcome: explanation.outcome,
         steps,
         measured_total_seconds: exec.total_seconds,
-        faults,
-        total_retries,
-        total_recoveries,
-        total_recovery_seconds,
+        faults: run.faults,
+        total_retries: run.retries,
+        total_recoveries: run.recoveries,
+        total_recovery_seconds: run.recovery_seconds,
         exec,
     }
 }
 
-/// `EXPLAIN ANALYZE` under fault injection: like [`explain_analyze`],
-/// but the run goes through
-/// [`execute_fault_tolerant`] with `injector`'s
-/// schedule, and the analysis rows carry each vertex's retries,
-/// recoveries, and recovery seconds, with the fired faults summarized
-/// below the table.
+/// `EXPLAIN ANALYZE` under fault injection: like
+/// [`explain_analyze_with_options`], but the run goes through
+/// [`execute_fault_tolerant`] with `injector`'s schedule, and the
+/// analysis rows carry each vertex's retries, recoveries, and recovery
+/// seconds, with the fired faults summarized below the table.
 ///
 /// The estimate side describes the *original* plan; if degradation
 /// re-planned the suffix, the measured side reflects the re-planned
@@ -460,35 +438,15 @@ pub fn explain_analyze_with_faults(
     model: &dyn CostModel,
     injector: FaultInjector,
     config: &FtConfig,
+    options: &ExecOptions,
     obs: &Obs,
 ) -> Result<PlanAnalysis, ExecError> {
     let explanation = explain_plan(graph, annotation, ctx, model)
         .map_err(|e| ExecError::Internal(format!("plan error: {e}")))?;
-    let ft = execute_fault_tolerant(
-        graph, annotation, inputs, ctx, catalog, model, injector, config, obs,
+    let run = execute_fault_tolerant(
+        graph, annotation, inputs, ctx, catalog, model, injector, config, options, obs,
     )?;
-    let exec = ExecOutcome {
-        sinks: ft.sinks,
-        values: ft.values,
-        vertex_seconds: ft.vertex_seconds,
-        transform_seconds: ft.transform_seconds,
-        vertex_chunks: ft.vertex_chunks,
-        vertex_resident_bytes: ft.vertex_resident_bytes,
-        parallelism: ft.parallelism,
-        max_concurrency: ft.max_concurrency,
-        peak_resident_bytes: ft.peak_resident_bytes,
-        governor: ft.governor,
-        pool: ft.pool,
-        total_seconds: ft.total_seconds,
-    };
-    let stats = RecoveryStats {
-        faults: ft.faults,
-        retries: ft.retries,
-        recoveries: ft.recoveries,
-        recovery_seconds: ft.recovery_seconds,
-        per_vertex: ft.per_vertex,
-    };
-    Ok(join_analysis(explanation, exec, Some(stats), obs))
+    Ok(join_analysis(explanation, run, obs))
 }
 
 #[cfg(test)]

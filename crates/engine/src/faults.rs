@@ -6,9 +6,12 @@
 //! always lands on a real operator). Schedules come from three places:
 //! an explicit event list, the CLI spec grammar ([`parse_fault_spec`]),
 //! or a seeded random generator ([`FaultInjector::random`]) used by the
-//! chaos harness. All randomness — schedule generation, crash loss
-//! sets, backoff jitter — flows from one SplitMix64 state, so a seed
-//! fully reproduces a chaos run.
+//! chaos harness. A seed fully reproduces a chaos run: random schedules
+//! are drawn from a SplitMix64 stream, and every recovery decision —
+//! backoff jitter, crash loss sets — is a keyed hash of the seed, the
+//! vertex, and the attempt or victim ([`matopt_core::mix_jitter`]), not
+//! a draw from a shared stream. Outcomes therefore do not depend on the
+//! order in which concurrent vertices complete.
 
 use crate::value::{Block, Chunk, DistRelation};
 use matopt_kernels::CooMatrix;
@@ -51,9 +54,10 @@ impl SplitMix64 {
 /// One kind of injected failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
-    /// A worker dies while this vertex runs: its in-flight output and a
-    /// seeded random subset of previously materialized intermediates
-    /// are lost and must be recovered per the active policy.
+    /// A worker dies as this vertex starts: a seeded subset of the
+    /// vertex's materialized compute ancestors (this plan epoch's,
+    /// resident in memory) is lost and must be recovered per the active
+    /// policy before the vertex runs.
     WorkerCrash,
     /// This vertex runs `slowdown`× slower than estimated.
     Straggler {
@@ -121,13 +125,14 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// A deterministic fault schedule plus the PRNG that recovery draws
-/// jitter and loss sets from. Disabled injectors cost one branch per
-/// vertex on the fault-free path.
+/// A deterministic fault schedule plus the seed that recovery's keyed
+/// draws (backoff jitter, crash loss sets) hash. A disabled injector
+/// installs no fault hook at all, so the fault-free run is the plain
+/// pipelined scheduler.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     events: Vec<Option<FaultEvent>>,
-    rng: SplitMix64,
+    seed: u64,
     enabled: bool,
 }
 
@@ -136,7 +141,7 @@ impl FaultInjector {
     pub fn disabled() -> Self {
         FaultInjector {
             events: Vec::new(),
-            rng: SplitMix64::new(0),
+            seed: 0,
             enabled: false,
         }
     }
@@ -146,7 +151,7 @@ impl FaultInjector {
     pub fn from_schedule(seed: u64, events: Vec<FaultEvent>) -> Self {
         FaultInjector {
             events: events.into_iter().map(Some).collect(),
-            rng: SplitMix64::new(seed),
+            seed,
             enabled: true,
         }
     }
@@ -180,7 +185,7 @@ impl FaultInjector {
         }
         FaultInjector {
             events,
-            rng,
+            seed,
             enabled: true,
         }
     }
@@ -188,15 +193,6 @@ impl FaultInjector {
     /// `true` unless built with [`FaultInjector::disabled`].
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// `true` while a corruption fault is still pending — the executor
-    /// only pays for output checksums when one is.
-    pub fn wants_checksums(&self) -> bool {
-        self.events
-            .iter()
-            .flatten()
-            .any(|e| matches!(e.kind, FaultKind::CorruptedChunk { .. }))
     }
 
     /// The scheduled-but-not-yet-fired events, for display.
@@ -219,9 +215,9 @@ impl FaultInjector {
         fired
     }
 
-    /// The injector's PRNG, shared by loss-set draws and backoff jitter.
-    pub(crate) fn rng(&mut self) -> &mut SplitMix64 {
-        &mut self.rng
+    /// The seed recovery's keyed draws hash.
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
     }
 }
 
@@ -520,7 +516,6 @@ mod tests {
             pending[4].kind,
             FaultKind::ResourceExhaustion { repeats: 2 }
         );
-        assert!(inj.wants_checksums());
 
         let r = parse_fault_spec("random:4", 11, 6).expect("parses");
         assert_eq!(r.pending().len(), 4);

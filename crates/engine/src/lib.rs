@@ -12,6 +12,12 @@
 //!   strip broadcasts, group-by SUM aggregations, blocked Gauss–Jordan
 //!   rounds), pipelined across DAG vertices and thread-parallel within
 //!   chunk batches via the persistent `matopt-pool` work-stealing pool;
+//! * **fault-tolerant execution** ([`execute_fault_tolerant`]) on the
+//!   same scheduler: a seeded [`FaultInjector`]'s crashes, stragglers,
+//!   transient errors and corruptions fire through a per-vertex hook and
+//!   are recovered by retry, checkpoint restore or lineage replay, with
+//!   every random decision keyed on (seed, vertex, attempt or victim) so
+//!   a seed reproduces a run on any pool width;
 //! * an **analytic simulator** ([`simulate_plan`]) that evaluates the
 //!   same plans at paper scale against the [`matopt_core::Cluster`]
 //!   model, reproducing wall-clock estimates and the runtime "Fail"

@@ -66,16 +66,30 @@
 //! bit-deterministic, so the race cannot change results; the chaos
 //! harness pins this over seeded straggler schedules.
 //!
+//! # Fault hook
+//!
+//! A fault-injected run ([`crate::execute_fault_tolerant`]) installs a
+//! [`FaultHook`] and otherwise runs exactly this scheduler. Before a
+//! primary starts, the hook fires the faults scheduled at its vertex:
+//! resource retries (which may halt the run for re-planning), crash
+//! recovery of lost ancestors, and transient retries with backoff. A
+//! straggler fault joins the primary-only delay below, so hedging
+//! bounds it; corruption is caught by checksumming the output and
+//! recomputing. A halt stops admission and lets in-flight vertices
+//! drain; the run then returns what completed. Without a hook the only
+//! cost is one `Option` check per vertex.
+//!
 //! Determinism: every vertex reads fully-materialized inputs, every
 //! chunk batch preserves item order, and spills round-trip bit-exactly,
 //! so the pipelined executor is bit-identical to the serial walk
-//! regardless of completion order, budget, or hedging (the
-//! `pipeline.rs` and `governor.rs` tests pin this).
+//! regardless of completion order, budget, hedging, or injected faults
+//! (the `pipeline.rs`, `governor.rs`, and `chaos.rs` tests pin this).
 
 use crate::exec::{
     missing_choice, missing_input, vertex_label, ExecOptions, GovernorStats, HedgeMark,
 };
 use crate::impl_exec::{execute_impl_shared, ExecError};
+use crate::recovery::FaultHook;
 use crate::spill::{SpillError, SpillManager, SpillTicket};
 use crate::value::DistRelation;
 use matopt_core::{Annotation, ComputeGraph, ImplRegistry, NodeId, NodeKind, TransformKind};
@@ -388,11 +402,12 @@ struct HedgeState {
     shutdown: AtomicBool,
 }
 
-struct RunState {
-    graph: Arc<ComputeGraph>,
+/// Everything one pipelined run shares between its pool jobs.
+pub(crate) struct RunState {
+    pub(crate) graph: Arc<ComputeGraph>,
     annotation: Arc<Annotation>,
     registry: Arc<ImplRegistry>,
-    obs: Obs,
+    pub(crate) obs: Obs,
     /// One entry per in-edge of each consumer (duplicates kept so a
     /// vertex feeding the same consumer twice decrements twice).
     consumer_edges: Vec<Vec<NodeId>>,
@@ -407,9 +422,12 @@ struct RunState {
     uses: Vec<AtomicUsize>,
     meta: Vec<Mutex<VertexMeta>>,
     /// First failure by lowest vertex id (deterministic across
-    /// completion orders); `failed` lets in-flight jobs stop early.
+    /// completion orders).
     error: Mutex<Option<(NodeId, ExecError)>>,
-    failed: AtomicBool,
+    /// Set on the first failure or a fault hook's degradation halt:
+    /// nothing new is admitted, queued jobs return without running, and
+    /// in-flight vertices drain.
+    halted: AtomicBool,
     resident: AtomicU64,
     peak: AtomicU64,
     running: AtomicUsize,
@@ -424,14 +442,45 @@ struct RunState {
     /// Remote vertex-execution backend; when set, chosen
     /// implementations run through it instead of in-process.
     remote: Option<Arc<dyn crate::exec::RemoteVertexExec>>,
+    /// Fault injection and recovery (`None` on fault-free runs).
+    faults: Option<Arc<FaultHook>>,
 }
+
+impl RunState {
+    /// Whether `u`'s buffer is in memory (neither retired nor spilled).
+    pub(crate) fn is_resident(&self, u: NodeId) -> bool {
+        self.slots[u.index()].lock().unwrap().is_some()
+    }
+
+    /// Swaps a recovered buffer into `u`'s slot, so readers see either
+    /// the old or the new (bit-identical) buffer and never an empty
+    /// slot. A buffer the governor spilled meanwhile stays on scratch.
+    pub(crate) fn replace_value(&self, u: NodeId, fresh: Arc<DistRelation>) {
+        let _spills = self.gov.as_ref().map(|g| g.inner.lock().unwrap());
+        let mut slot = self.slots[u.index()].lock().unwrap();
+        if slot.is_some() {
+            *slot = Some(fresh);
+        }
+    }
+
+    /// Halts the run: admission stops and in-flight vertices drain.
+    pub(crate) fn halt(&self) {
+        self.halted.store(true, Ordering::Release);
+    }
+}
+
+/// A computed vertex: output, implementation seconds, and per-edge
+/// transform seconds.
+pub(crate) type VertexResult = Result<(Arc<DistRelation>, f64, Vec<f64>), ExecError>;
 
 /// Runs the annotated graph through the pipelined scheduler.
 ///
 /// With `retain_all` every vertex's value survives the run; otherwise
 /// buffers are retired as their last consumer finishes and only sink
 /// values come back. The remaining governance knobs come from
-/// `options` (budget, scratch dir, hedging, injected delays).
+/// `options` (budget, scratch dir, hedging, injected delays); `faults`
+/// installs the fault-injection hook.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_pipelined(
     graph: &ComputeGraph,
     annotation: &Annotation,
@@ -440,6 +489,7 @@ pub(crate) fn run_pipelined(
     obs: &Obs,
     retain_all: bool,
     options: &ExecOptions,
+    faults: Option<Arc<FaultHook>>,
 ) -> Result<PipelineOutput, ExecError> {
     let n = graph.len();
     // Fail on the first unannotated compute vertex in topological
@@ -545,7 +595,7 @@ pub(crate) fn run_pipelined(
         uses: uses.into_iter().map(AtomicUsize::new).collect(),
         meta: (0..n).map(|_| Mutex::new(VertexMeta::default())).collect(),
         error: Mutex::new(None),
-        failed: AtomicBool::new(false),
+        halted: AtomicBool::new(false),
         resident: AtomicU64::new(0),
         peak: AtomicU64::new(0),
         running: AtomicUsize::new(0),
@@ -558,6 +608,7 @@ pub(crate) fn run_pipelined(
             .clone()
             .unwrap_or_else(|| Arc::new(matopt_kernels::KernelConfig::global())),
         remote: options.remote.clone(),
+        faults,
     });
 
     // Seed the sources inline (they are the caller's inputs, possibly
@@ -771,10 +822,10 @@ fn collect_governor_stats(state: &RunState, n: usize) -> GovernorStats {
 }
 
 /// Records a failure against the lowest failing vertex id
-/// (deterministic across completion orders) and flips the `failed`
-/// flag so in-flight jobs and the pump stop early.
+/// (deterministic across completion orders) and halts the run so
+/// in-flight jobs and the pump stop early.
 fn record_failure(state: &RunState, v: NodeId, e: ExecError) {
-    state.failed.store(true, Ordering::Release);
+    state.halt();
     let mut slot = state.error.lock().unwrap();
     match &*slot {
         Some((u, _)) if u.index() <= v.index() => {}
@@ -968,7 +1019,7 @@ fn admit(
 fn pump(state: &Arc<RunState>, group: &TaskGroup) {
     let Some(gov) = &state.gov else { return };
     let mut inner = gov.inner.lock().unwrap();
-    if state.failed.load(Ordering::Acquire) {
+    if state.halted.load(Ordering::Acquire) {
         inner.ready.clear();
         return;
     }
@@ -1132,9 +1183,19 @@ fn monitor_loop(state: &Arc<RunState>, group: &TaskGroup) {
 }
 
 fn run_vertex_job(state: &Arc<RunState>, group: &TaskGroup, v: NodeId, hedge_attempt: bool) {
-    if state.failed.load(Ordering::Acquire) {
+    if state.halted.load(Ordering::Acquire) {
         return;
     }
+    // Faults scheduled at `v` fire in its primary, before the hedge
+    // deadline is armed; `None` means the vertex halted the run.
+    let fired = match &state.faults {
+        Some(hook) if !hedge_attempt => match hook.before(state, v) {
+            Ok(Some(fired)) => Some(fired),
+            Ok(None) => return,
+            Err(e) => return record_failure(state, v, e),
+        },
+        _ => None,
+    };
     if let Some(h) = &state.hedge {
         if h.winner[v.index()].load(Ordering::Acquire) {
             return; // stale duplicate; the race is already decided
@@ -1143,31 +1204,34 @@ fn run_vertex_job(state: &Arc<RunState>, group: &TaskGroup, v: NodeId, hedge_att
             *h.started[v.index()].lock().unwrap() = Some(Instant::now());
         }
     }
-    // Injected straggler delay (test/chaos hook): primaries only, in
-    // 1 ms slices so a winning hedge aborts the straggler promptly.
+    // Injected straggler delay (test hook or straggler fault): primaries
+    // only, so a hedged duplicate can overtake it.
     if !hedge_attempt {
-        if let Some(delays) = &state.delays_ms {
-            let d = delays.get(v.index()).copied().unwrap_or(0);
-            if d > 0 {
-                let until = Instant::now() + Duration::from_millis(d);
-                loop {
-                    if let Some(h) = &state.hedge {
-                        if h.winner[v.index()].load(Ordering::Acquire) {
-                            return; // lost to the hedge mid-straggle
-                        }
-                    }
-                    let now = Instant::now();
-                    if now >= until {
-                        break;
-                    }
-                    std::thread::sleep((until - now).min(Duration::from_millis(1)));
+        let hooked = state
+            .delays_ms
+            .as_ref()
+            .and_then(|d| d.get(v.index()).copied())
+            .unwrap_or(0);
+        let delay = hooked + fired.as_ref().map_or(0, |f| f.delay_ms);
+        if delay > 0 {
+            let t0 = Instant::now();
+            let finished = straggle(state, v, delay);
+            if let (Some(hook), Some(f)) = (&state.faults, &fired) {
+                if f.delay_ms > 0 {
+                    hook.straggled(v, t0.elapsed().as_secs_f64());
                 }
+            }
+            if !finished {
+                return; // lost to the hedge mid-straggle
             }
         }
     }
     let running = state.running.fetch_add(1, Ordering::AcqRel) + 1;
     state.max_running.fetch_max(running, Ordering::AcqRel);
-    let result = compute_vertex(state, v);
+    let result = match (&state.faults, fired) {
+        (Some(hook), Some(fired)) => hook.attempt(state, v, fired),
+        _ => compute_vertex(state, v),
+    };
     state.running.fetch_sub(1, Ordering::AcqRel);
     if let Some(h) = &state.hedge {
         if h.winner[v.index()]
@@ -1196,10 +1260,31 @@ fn run_vertex_job(state: &Arc<RunState>, group: &TaskGroup, v: NodeId, hedge_att
     }
     match result {
         Ok((rel, isecs, tsecs)) => {
+            if let Some(hook) = &state.faults {
+                hook.completed(v, &rel);
+            }
             store_output(state, v, rel, isecs, tsecs);
             finish_vertex(state, group, v);
         }
         Err(e) => record_failure(state, v, e),
+    }
+}
+
+/// Sleeps `ms` in 1 ms slices; returns `false` as soon as a hedged
+/// duplicate of `v` wins, so the straggler is abandoned promptly.
+fn straggle(state: &RunState, v: NodeId, ms: u64) -> bool {
+    let until = Instant::now() + Duration::from_millis(ms);
+    loop {
+        if let Some(h) = &state.hedge {
+            if h.winner[v.index()].load(Ordering::Acquire) {
+                return false;
+            }
+        }
+        let now = Instant::now();
+        if now >= until {
+            return true;
+        }
+        std::thread::sleep((until - now).min(Duration::from_millis(1)));
     }
 }
 
@@ -1238,11 +1323,7 @@ fn finish_vertex(state: &Arc<RunState>, group: &TaskGroup, v: NodeId) {
 /// implementation, mirroring the serial walk's spans and timings.
 /// Returns the output relation and timings; the caller stores them
 /// (exactly once, even when the vertex was hedged).
-#[allow(clippy::type_complexity)]
-fn compute_vertex(
-    state: &Arc<RunState>,
-    v: NodeId,
-) -> Result<(Arc<DistRelation>, f64, Vec<f64>), ExecError> {
+pub(crate) fn compute_vertex(state: &RunState, v: NodeId) -> VertexResult {
     let node = state.graph.node(v);
     let NodeKind::Compute { op } = &node.kind else {
         return Err(ExecError::Internal(format!(
@@ -1261,13 +1342,7 @@ fn compute_vertex(
         .zip(choice.input_transforms.iter())
         .enumerate()
     {
-        let src: Arc<DistRelation> = state.slots[input.index()]
-            .lock()
-            .unwrap()
-            .clone()
-            .ok_or_else(|| {
-                ExecError::Internal(format!("input {input} of vertex {v} not materialized"))
-            })?;
+        let src = input_value(state, *input, v)?;
         let _t_span = if t.kind == TransformKind::Identity {
             // Identity edges are free `Arc` bumps; keep the trace quiet.
             None
@@ -1337,6 +1412,42 @@ fn compute_vertex(
         );
     }
     Ok((Arc::new(out), isecs, tsecs))
+}
+
+/// `u`'s value for its consumer `v`: the resident buffer or, when the
+/// governor spilled it (only crash replays read unpinned inputs), a
+/// checksum-verified read of its scratch file, which stays spilled.
+fn input_value(state: &RunState, u: NodeId, v: NodeId) -> Result<Arc<DistRelation>, ExecError> {
+    if let Some(rel) = state.slots[u.index()].lock().unwrap().clone() {
+        return Ok(rel);
+    }
+    if let Some(gov) = &state.gov {
+        let mut inner = gov.inner.lock().unwrap();
+        // Re-check under the governor lock: an admission may have
+        // reloaded the buffer meanwhile.
+        if let Some(rel) = state.slots[u.index()].lock().unwrap().clone() {
+            return Ok(rel);
+        }
+        if let Some((back, bytes)) = inner.tickets[u.index()]
+            .as_ref()
+            .map(|t| (gov.spill.reload(t), t.bytes))
+        {
+            let rel = back.map_err(|e| spill_failure(&state.graph, u, e))?;
+            inner.reloads += 1;
+            inner.reloaded_bytes += bytes;
+            state.obs.record(Subsystem::Sched, "reload", || {
+                vec![
+                    ("vertex", u.index().into()),
+                    ("bytes", (bytes as i64).into()),
+                    ("replay", true.into()),
+                ]
+            });
+            return Ok(Arc::new(rel));
+        }
+    }
+    Err(ExecError::Internal(format!(
+        "input {u} of vertex {v} not materialized"
+    )))
 }
 
 fn store_output(

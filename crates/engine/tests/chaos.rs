@@ -126,6 +126,15 @@ fn chaos_config(policy: RecoveryPolicy) -> FtConfig {
 }
 
 fn run_chaotic(w: &Workload, injector: FaultInjector, config: &FtConfig) -> FtOutcome {
+    run_chaotic_with(w, injector, config, &ExecOptions::default())
+}
+
+fn run_chaotic_with(
+    w: &Workload,
+    injector: FaultInjector,
+    config: &FtConfig,
+    options: &ExecOptions,
+) -> FtOutcome {
     let registry = ImplRegistry::paper_default();
     let cluster = Cluster::simsql_like(WORKERS);
     let ctx = PlanContext::new(&registry, cluster);
@@ -138,6 +147,7 @@ fn run_chaotic(w: &Workload, injector: FaultInjector, config: &FtConfig) -> FtOu
         &AnalyticalCostModel,
         injector,
         config,
+        options,
         &Obs::disabled(),
     )
     .expect("fault-tolerant run succeeds")
@@ -147,12 +157,12 @@ fn run_chaotic(w: &Workload, injector: FaultInjector, config: &FtConfig) -> FtOu
 /// and stayed inside the retry budget.
 fn assert_recovered_exactly(w: &Workload, out: &FtOutcome, config: &FtConfig, seed: u64) {
     assert_eq!(
-        out.sinks.len(),
+        out.exec.sinks.len(),
         w.baseline.len(),
         "{} seed {seed}: sink set changed",
         w.name
     );
-    for (sink, rel) in &out.sinks {
+    for (sink, rel) in &out.exec.sinks {
         assert!(
             rel.to_dense() == w.baseline[sink],
             "{} seed {seed}: sink {sink} diverged from the fault-free run",
@@ -193,6 +203,48 @@ fn random_fault_schedules_recover_to_exact_sink_values() {
     }
 }
 
+/// The capstone's aggregate floors: over its 64 seeds each workload
+/// fires 127 faults, spends 91 retries, and recovers 32 crashes. These
+/// depend only on the seeded schedules, not on draw or completion
+/// order; crash replays depend on the loss coins and must merely happen.
+#[test]
+fn capstone_schedules_fire_their_faults_and_recoveries() {
+    let policies = [
+        RecoveryPolicy::Restart,
+        RecoveryPolicy::Checkpoint,
+        RecoveryPolicy::Lineage,
+    ];
+    for w in workloads() {
+        let (mut faults, mut retries, mut recoveries, mut replays) = (0usize, 0u32, 0u32, 0u32);
+        for seed in 0..64u64 {
+            let config = chaos_config(policies[(seed % 3) as usize]);
+            let n_faults = 1 + (seed as usize % 3);
+            let injector = FaultInjector::random(seed, w.graph.compute_count(), n_faults, 2);
+            let out = run_chaotic(w, injector, &config);
+            faults += out.faults.len();
+            retries += out.retries;
+            recoveries += out.recoveries;
+            replays += out.per_vertex.iter().map(|v| v.recoveries).sum::<u32>();
+        }
+        println!(
+            "{}: {faults} faults, {retries} retries, {recoveries} crash recoveries, \
+             {replays} per-vertex replays",
+            w.name
+        );
+        assert_eq!(
+            (faults, retries, recoveries),
+            (127, 91, 32),
+            "{}: aggregate floors moved",
+            w.name
+        );
+        assert!(
+            replays > recoveries,
+            "{}: no crash replayed a vertex",
+            w.name
+        );
+    }
+}
+
 /// The same seed must produce the same fault sequence and the same
 /// retry/recovery counts — chaos is reproducible by construction.
 #[test]
@@ -215,7 +267,7 @@ fn disabled_injector_changes_nothing() {
     for w in workloads() {
         let config = chaos_config(RecoveryPolicy::Checkpoint);
         let out = run_chaotic(w, FaultInjector::disabled(), &config);
-        for (sink, rel) in &out.sinks {
+        for (sink, rel) in &out.exec.sinks {
             assert!(rel.to_dense() == w.baseline[sink]);
         }
         assert!(out.faults.is_empty());
@@ -261,8 +313,8 @@ fn resource_exhaustion_degrades_and_replans() {
     let config = chaos_config(RecoveryPolicy::Lineage);
     let out = run_chaotic(w, injector, &config);
     assert!(out.replans >= 1, "degradation must re-plan the suffix");
-    assert_eq!(out.sinks.len(), w.baseline.len());
-    for (sink, rel) in &out.sinks {
+    assert_eq!(out.exec.sinks.len(), w.baseline.len());
+    for (sink, rel) in &out.exec.sinks {
         let got = rel.to_dense();
         let want = &w.baseline[sink];
         assert!(
@@ -300,6 +352,7 @@ fn retry_budget_exhaustion_is_a_clean_error() {
         &AnalyticalCostModel,
         injector,
         &config,
+        &ExecOptions::default(),
         &Obs::disabled(),
     )
     .expect_err("nine consecutive failures must exhaust a budget of three");
@@ -445,18 +498,65 @@ fn hedging_composes_with_retries_under_faults() {
     for w in workloads() {
         let injector =
             parse_fault_spec("slow@1x8,flaky@2x2", 13, w.graph.compute_count()).expect("parses");
-        let config = FtConfig {
-            hedge: Some(HedgeConfig::with_factor(4.0)),
-            ..chaos_config(RecoveryPolicy::Lineage)
+        let config = chaos_config(RecoveryPolicy::Lineage);
+        // Straggler faults stretch a step in units of 0.5 ms, so that
+        // unit is each vertex's prediction: the 4x deadline (2 ms)
+        // falls inside the 8x straggle (4 ms).
+        let options = ExecOptions {
+            hedge: Some(HedgeConfig {
+                predicted_seconds: Some(Arc::new(vec![0.0005; w.graph.len()])),
+                ..HedgeConfig::with_factor(4.0)
+            }),
+            ..Default::default()
         };
-        let out = run_chaotic(w, injector, &config);
+        let out = run_chaotic_with(w, injector, &config, &options);
         assert_recovered_exactly(w, &out, &config, 13);
         assert!(
-            out.governor.hedges_launched >= 1,
+            out.exec.governor.hedges_launched >= 1,
             "{}: the 8x straggler must trip the 4x hedge deadline",
             w.name
         );
         assert!(out.retries >= 2, "{}: the flaky vertex must retry", w.name);
+    }
+}
+
+/// Live injector × memory budget: crash + corruption + transient
+/// schedules under 50% of the measured unbounded peak, for every
+/// recovery policy. The governed run must spill, a crash must survive
+/// with spilled buffers on scratch (replays read them back through the
+/// governor), and the sinks must stay bit-exact.
+#[test]
+fn live_injector_under_memory_budget_spills_and_stays_bit_exact() {
+    for w in workloads() {
+        let peak = run_with_options(w, ExecOptions::default()).peak_resident_bytes;
+        let options = ExecOptions {
+            mem_budget: Some((peak as f64 * 0.5) as u64),
+            ..Default::default()
+        };
+        let steps = w.graph.compute_count();
+        let spec = format!(
+            "crash@{},corrupt@{},flaky@{}x2",
+            steps - 1,
+            steps / 2,
+            steps / 3
+        );
+        for policy in [
+            RecoveryPolicy::Restart,
+            RecoveryPolicy::Checkpoint,
+            RecoveryPolicy::Lineage,
+        ] {
+            let injector = parse_fault_spec(&spec, 17, steps).expect("spec parses");
+            let config = chaos_config(policy);
+            let out = run_chaotic_with(w, injector, &config, &options);
+            assert_recovered_exactly(w, &out, &config, 17);
+            assert_eq!(out.faults.len(), 3, "{}: all three faults fire", w.name);
+            assert_eq!(out.recoveries, 1, "{}: the crash recovers once", w.name);
+            assert!(
+                out.exec.governor.spills > 0,
+                "{} {policy}: the 50% budget never spilled under a live injector",
+                w.name
+            );
+        }
     }
 }
 
@@ -480,7 +580,7 @@ proptest! {
         let config = chaos_config(policies[policy_ix]);
         let injector = FaultInjector::random(seed, w.graph.compute_count(), n_faults, 3);
         let out = run_chaotic(w, injector, &config);
-        for (sink, rel) in &out.sinks {
+        for (sink, rel) in &out.exec.sinks {
             prop_assert!(
                 rel.to_dense() == w.baseline[sink],
                 "{} seed {seed}: sink {sink} diverged",

@@ -164,6 +164,18 @@ impl PlanCache {
         }
     }
 
+    /// Looks up a fingerprint without counting a hit or miss and without
+    /// refreshing recency; a stale-epoch entry reads as absent.
+    pub fn peek(&self, fp: Fingerprint) -> Option<Arc<Optimized>> {
+        let epoch = self.epoch();
+        let shard = self.shard(fp).lock().expect("cache shard lock");
+        shard
+            .map
+            .get(&fp)
+            .filter(|entry| entry.epoch == epoch)
+            .map(|entry| Arc::clone(&entry.plan))
+    }
+
     /// Inserts a plan stamped with the epoch it was *planned under* —
     /// pass the epoch observed before the optimizer ran, so an
     /// invalidation racing the optimization leaves the entry already

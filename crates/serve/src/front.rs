@@ -557,52 +557,40 @@ impl FrontDoor {
         } else {
             None
         };
+        let options = ExecOptions {
+            retain_values: false,
+            mem_budget: tenant_mem,
+            scratch_dir: None,
+            hedge: self.hedge_config(),
+            straggler_delays_ms: None,
+            shared_governor: self.shared.clone(),
+            kernel_config: Some(self.service.kernel_config()),
+            remote: self.remote.lock().expect("front remote").clone(),
+        };
         let result: Result<(ExecOutcome, u32), ServeError> = match faults {
-            None => {
-                let options = ExecOptions {
-                    retain_values: false,
-                    mem_budget: tenant_mem,
-                    scratch_dir: None,
-                    hedge: self.hedge_config(),
-                    straggler_delays_ms: None,
-                    shared_governor: self.shared.clone(),
-                    kernel_config: Some(self.service.kernel_config()),
-                    remote: self.remote.lock().expect("front remote").clone(),
-                };
-                execute_plan_with(
-                    req.graph,
-                    &planned.plan.annotation,
-                    req.inputs,
-                    self.service.registry(),
-                    self.service.obs(),
-                    options,
-                )
-                .map(|out| (out, 0))
-                .map_err(|e| ServeError::Exec(e.to_string()))
-            }
-            Some((injector, ft)) => {
-                let mut config = ft.clone();
-                config.mem_budget = config.mem_budget.or(tenant_mem);
-                if config.hedge.is_none() {
-                    config.hedge = self.hedge_config();
-                }
-                if config.shared_governor.is_none() {
-                    config.shared_governor = self.shared.clone();
-                }
-                self.service
-                    .execute_fault_tolerant(req.graph, planned, req.inputs, injector, &config)
-                    .map(|ft_out| {
-                        let recoveries = ft_out.recoveries + ft_out.retries + ft_out.replans;
-                        // Every recovery is a storm signal: this is the
-                        // serve-side view of the Subsystem::Faults
-                        // counters.
-                        for _ in 0..recoveries {
-                            self.breaker.record_storm_event();
-                        }
-                        (ft_to_exec(ft_out), recoveries)
-                    })
-                    .map_err(|e| ServeError::Exec(e.to_string()))
-            }
+            None => execute_plan_with(
+                req.graph,
+                &planned.plan.annotation,
+                req.inputs,
+                self.service.registry(),
+                self.service.obs(),
+                options,
+            )
+            .map(|out| (out, 0))
+            .map_err(|e| ServeError::Exec(e.to_string())),
+            Some((injector, ft)) => self
+                .service
+                .execute_fault_tolerant(req.graph, planned, req.inputs, injector, ft, &options)
+                .map(|run| {
+                    let recoveries = run.recoveries + run.retries + run.replans;
+                    // Every recovery is a storm signal: this is the
+                    // serve-side view of the Subsystem::Faults counters.
+                    for _ in 0..recoveries {
+                        self.breaker.record_storm_event();
+                    }
+                    (run.exec, recoveries)
+                })
+                .map_err(|e| ServeError::Exec(e.to_string())),
         };
         match result {
             Ok((outcome, recoveries)) => {
@@ -1011,24 +999,5 @@ impl Drop for SlotGuard<'_> {
         if self.tracked {
             self.front.release_slot();
         }
-    }
-}
-
-/// Repackages a fault-tolerant outcome as a plain execution outcome
-/// (the front door's response type is uniform across paths).
-fn ft_to_exec(ft: matopt_engine::FtOutcome) -> ExecOutcome {
-    ExecOutcome {
-        sinks: ft.sinks,
-        values: ft.values,
-        vertex_seconds: ft.vertex_seconds,
-        transform_seconds: ft.transform_seconds,
-        vertex_chunks: ft.vertex_chunks,
-        vertex_resident_bytes: ft.vertex_resident_bytes,
-        parallelism: ft.parallelism,
-        max_concurrency: ft.max_concurrency,
-        peak_resident_bytes: ft.peak_resident_bytes,
-        governor: ft.governor,
-        pool: ft.pool,
-        total_seconds: ft.total_seconds,
     }
 }

@@ -504,6 +504,10 @@ impl PlanService {
             let mut inflight = self.inflight.lock().expect("inflight lock");
             if let Some(flight) = inflight.get(&fp) {
                 (Arc::clone(flight), false)
+            } else if let Some(plan) = self.cache.peek(fp) {
+                // A leader published and retired its flight between our
+                // miss and this lock: its entry is in the cache.
+                return Ok((plan, PlanSource::Hit));
             } else {
                 let depth = inflight.len();
                 if depth >= self.config.max_queue_depth {
@@ -656,9 +660,10 @@ impl PlanService {
         })
     }
 
-    /// Executes a served plan through the fault-tolerant executor,
-    /// borrowing the service's registry, catalog, cluster, and cost
-    /// model for recovery re-planning. Runtime drift feedback is the
+    /// Executes a served plan through the fault-tolerant executor with
+    /// `options` (budget, hedging, shared governor), borrowing the
+    /// service's registry, catalog, cluster, and cost model for
+    /// recovery re-planning. Runtime drift feedback is the
     /// caller's job (the outcome's `total_seconds` plus
     /// [`PlanService::observe_runtime`]): fault-injected timings would
     /// poison the drift baseline if fed indiscriminately.
@@ -672,6 +677,7 @@ impl PlanService {
         inputs: &HashMap<NodeId, DistRelation>,
         injector: matopt_engine::FaultInjector,
         config: &matopt_engine::FtConfig,
+        options: &matopt_engine::ExecOptions,
     ) -> Result<matopt_engine::FtOutcome, ExecError> {
         let cluster = self.cluster();
         let model = self.model.read().expect("model lock");
@@ -685,6 +691,7 @@ impl PlanService {
             &**model,
             injector,
             config,
+            options,
             &self.obs,
         )
     }

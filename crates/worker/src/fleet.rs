@@ -7,7 +7,7 @@
 //! implements [`RemoteVertexExec`], so plugging it into
 //! `ExecOptions::remote` moves every vertex implementation across a
 //! real process boundary while the scheduler, format transforms, and
-//! recovery waves stay coordinator-side.
+//! fault recovery stay coordinator-side.
 //!
 //! Failure model: a worker is *dead* the moment its task stream tears
 //! (EOF, checksum mismatch, absurd frame) or its heartbeat goes silent
